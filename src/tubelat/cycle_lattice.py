@@ -16,6 +16,7 @@ resulting shuffle words coordinatewise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -181,6 +182,13 @@ def fiber_words(x: Tubing) -> tuple[ShuffleWord, ...]:
     return tuple(out)
 
 
+def fiber_size(x: Tubing) -> int:
+    """The number of in-order shuffles of the zippers of x, without listing them."""
+    _require(x, PATH)
+    left, right = zippers(gtree_of(x.graph, x))
+    return math.comb(len(left) + len(right), len(left))
+
+
 def fiber(x: Tubing) -> tuple[Tubing, ...]:
     """Every cycle tubing that cuts to x, ordered by its shuffle word."""
     return tuple(sew(x, w) for w in fiber_words(x))
@@ -296,6 +304,13 @@ def _word_from_counts(x: Tubing, counts: tuple[int, ...]) -> ShuffleWord:
     return ShuffleWord.of(x, word)
 
 
+def _shuffle_bound(x: Tubing, w1: ShuffleWord, w2: ShuffleWord, pick):
+    if w1.base != x or w2.base != x:
+        raise ValueError("shuffle words must share the base tubing")
+    c1, c2 = _crossing_counts(w1), _crossing_counts(w2)
+    return _word_from_counts(x, tuple(pick(a, b) for a, b in zip(c1, c2)))
+
+
 def shuffle_join(x: Tubing, w1: ShuffleWord, w2: ShuffleWord) -> ShuffleWord:
     """Join of two shuffle words in the fiber order over x.
 
@@ -303,18 +318,12 @@ def shuffle_join(x: Tubing, w1: ShuffleWord, w2: ShuffleWord) -> ShuffleWord:
     these cross-precedence sets order the fiber by containment, so the join
     realizes their union, the coordinatewise maximum of the crossing counts.
     """
-    if w1.base != x or w2.base != x:
-        raise ValueError("shuffle words must share the base tubing")
-    c1, c2 = _crossing_counts(w1), _crossing_counts(w2)
-    return _word_from_counts(x, tuple(max(a, b) for a, b in zip(c1, c2)))
+    return _shuffle_bound(x, w1, w2, max)
 
 
 def shuffle_meet(x: Tubing, w1: ShuffleWord, w2: ShuffleWord) -> ShuffleWord:
     """Meet in the fiber order: coordinatewise minimum of crossing counts."""
-    if w1.base != x or w2.base != x:
-        raise ValueError("shuffle words must share the base tubing")
-    c1, c2 = _crossing_counts(w1), _crossing_counts(w2)
-    return _word_from_counts(x, tuple(min(a, b) for a, b in zip(c1, c2)))
+    return _shuffle_bound(x, w1, w2, min)
 
 
 @lru_cache(maxsize=None)

@@ -48,6 +48,11 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_vertex_count(n: int):
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def _popcount(mask: int) -> int:
     return mask.bit_count()
 
@@ -66,8 +71,7 @@ class Graph:
     kind: str = CUSTOM
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
+        _check_vertex_count(self.n)
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         for u, v in self.edges:
@@ -76,29 +80,27 @@ class Graph:
         expected = _expected_edges(self.kind, self.n)
         if expected is not None and self.edges != expected:
             raise ValueError(f"edge set does not match kind {self.kind!r} on {self.n} vertices")
-        if not _connected_mask(self.full_mask, self._adjacency()):
+        if not _connected_mask(self.full_mask, self.adj):
             raise ValueError("graph must be connected")
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def _adjacency(self) -> tuple[int, ...]:
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """Adjacency bit masks, indexed by vertex (index 0 unused)."""
         adj = [0] * (self.n + 1)
         for u, v in self.edges:
             adj[u] |= _bit(v)
             adj[v] |= _bit(u)
         return tuple(adj)
 
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Adjacency bit masks, indexed by vertex (index 0 unused)."""
-        return self._adjacency()
-
     def is_tube_mask(self, mask: int) -> bool:
         if mask == 0 or mask & ~self.full_mask:
             raise ValueError("tube must be a nonempty subset of the vertices")
-        return _connected_mask(mask, self.adj)
+        # _connected_mask without its extra call: mask is nonzero, path is hot
+        return _component(mask, mask & -mask, self.adj) == mask
 
     def w0_invariant(self) -> bool:
         """True when relabelling v to n+1-v maps the edge set onto itself."""
@@ -119,10 +121,9 @@ def _expected_edges(kind: str, n: int) -> frozenset[tuple[int, int]] | None:
     return None
 
 
-def _connected_mask(mask: int, adj: tuple[int, ...]) -> bool:
-    if mask == 0:
-        return False
-    comp = mask & -mask
+def _component(mask: int, seed_bit: int, adj: tuple[int, ...]) -> int:
+    """The component containing seed_bit of the subgraph induced by mask."""
+    comp = seed_bit
     while True:
         grown = comp
         m = comp
@@ -131,15 +132,18 @@ def _connected_mask(mask: int, adj: tuple[int, ...]) -> bool:
             grown |= adj[low.bit_length()] & mask
             m ^= low
         if grown == comp:
-            return comp == mask
+            return comp
         comp = grown
+
+
+def _connected_mask(mask: int, adj: tuple[int, ...]) -> bool:
+    return mask != 0 and _component(mask, mask & -mask, adj) == mask
 
 
 @lru_cache(maxsize=None)
 def make_graph(kind: str, n: int) -> Graph:
     """Build the canonical path, cycle, or complete graph on 1..n."""
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
+    _check_vertex_count(n)  # before the edge set is built
     if kind == CYCLE and n < 3:
         raise ValueError("cycle graphs need at least three vertices")
     if kind == CUSTOM:
@@ -176,7 +180,8 @@ def compatible(graph: Graph, a: Iterable[int] | int, b: Iterable[int] | int) -> 
 def _compatible_masks(graph: Graph, am: int, bm: int) -> bool:
     if am & bm == am or am & bm == bm:
         return True
-    return not _connected_mask(am | bm, graph.adj)
+    union = am | bm
+    return _component(union, am, graph.adj) != union  # am is connected
 
 
 def all_tubes(graph: Graph) -> tuple[int, ...]:
@@ -310,26 +315,12 @@ def flip(graph: Graph, t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple
             break
     vx = t.top(xm)
     vy = t.top(parent)
-    replacement = _component_containing(parent & ~_bit(vx), vy, graph.adj)
+    replacement = _component(parent & ~_bit(vx), _bit(vy), graph.adj)
     others = [m for m in t.tube_masks if m != xm]
     for m in others:
         if not _compatible_masks(graph, replacement, m):  # guards the closed form
             raise AssertionError("flip produced an incompatible tube")
     return Tubing._make(graph, others + [replacement]), vertices_of(replacement)
-
-
-def _component_containing(mask: int, v: int, adj: tuple[int, ...]) -> int:
-    comp = _bit(v)
-    while True:
-        grown = comp
-        m = comp
-        while m:
-            low = m & -m
-            grown |= adj[low.bit_length()] & mask
-            m ^= low
-        if grown == comp:
-            return comp
-        comp = grown
 
 
 def covers(graph: Graph, a: Tubing, b: Tubing) -> bool:
@@ -404,10 +395,27 @@ def graph_to_obj(graph: Graph) -> dict:
     return obj
 
 
+def _check_object(obj, what: str, *keys: str):
+    if not isinstance(obj, dict) or not all(k in obj for k in keys):
+        raise ValueError(f"{what} JSON must be an object with keys "
+                         f"{', '.join(keys)}")
+
+
+def _vertex_lists(value, n: int) -> bool:
+    """True when value is a JSON list of lists of vertices in 1..n."""
+    return isinstance(value, list) and all(
+        isinstance(x, list) and all(isinstance(v, int) and 1 <= v <= n
+                                    for v in x) for x in value)
+
+
 def graph_from_obj(obj: dict) -> Graph:
-    kind = obj["kind"]
-    n = int(obj["n"])
+    _check_object(obj, "graph", "kind", "n")
+    kind, n = obj["kind"], obj["n"]
+    if kind not in GRAPH_KINDS or not isinstance(n, int):
+        raise ValueError(f"graph needs a kind in {GRAPH_KINDS} and an integer n")
     if kind == CUSTOM:
+        if not _vertex_lists(obj.get("edges"), n):
+            raise ValueError("custom graph edges must be vertex pairs")
         return custom_graph(n, [tuple(e) for e in obj["edges"]])
     return make_graph(kind, n)
 
@@ -419,8 +427,12 @@ def tubing_to_json(t: Tubing) -> str:
 
 def tubing_from_json(text: str) -> Tubing:
     obj = json.loads(text)
+    _check_object(obj, "tubing", "graph", "tubes")
     graph = graph_from_obj(obj["graph"])
-    return Tubing.of(graph, [tuple(tu) for tu in obj["tubes"]])
+    tubes = obj["tubes"]
+    if not _vertex_lists(tubes, graph.n):
+        raise ValueError(f"tubes must be lists of vertices in 1..{graph.n}")
+    return Tubing.of(graph, [tuple(tu) for tu in tubes])
 
 
 def iter_flip_neighbors(graph: Graph, t: Tubing) -> Iterator[tuple[Tubing, int, int]]:

@@ -20,7 +20,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graph_core import Graph, Tubing, _bit, mask_of, vertices_of
+from .graph_core import (Graph, Tubing, _bit, _check_object,
+                         _check_vertex_count, vertices_of)
 
 PATH_BST = "path-bst"
 CYCLE_CBT = "cycle-cbt"
@@ -39,6 +40,7 @@ class GTree:
 
     @staticmethod
     def of(n: int, root: int, parent: dict[int, int]) -> "GTree":
+        _check_vertex_count(n)  # before the parent table is allocated
         if not 1 <= root <= n:
             raise ValueError("root out of range")
         table = [0] * (n + 1)
@@ -140,15 +142,11 @@ class PairStats:
 
 
 def pair_statistics(g: GTree) -> PairStats:
-    inv = set()
-    coinv = set()
-    for v in range(1, g.n + 1):
-        for u in vertices_of(g.down_masks[v] & ~_bit(v)):
-            if u < v:
-                coinv.add((u, v))
-            else:
-                inv.add((v, u))
-    allpairs = {(i, j) for j in range(2, g.n + 1) for i in range(1, j)}
+    inv_mask, coinv_mask = inversion_masks(g)
+    allpairs = [(i, j) for j in range(2, g.n + 1) for i in range(1, j)]
+    # allpairs lists the pairs in _pair_index order, so bit b is allpairs[b]
+    inv = {pair for b, pair in enumerate(allpairs) if inv_mask >> b & 1}
+    coinv = {pair for b, pair in enumerate(allpairs) if coinv_mask >> b & 1}
     asc = set()
     desc = set()
     for v in range(1, g.n + 1):
@@ -162,7 +160,7 @@ def pair_statistics(g: GTree) -> PairStats:
     return PairStats(
         inv=frozenset(inv),
         coinv=frozenset(coinv),
-        inc=frozenset(allpairs - inv - coinv),
+        inc=frozenset(set(allpairs) - inv - coinv),
         asc=frozenset(asc),
         desc=frozenset(desc),
     )
@@ -324,8 +322,14 @@ def gtree_to_json(g: GTree) -> str:
 
 def gtree_from_json(text: str) -> GTree:
     obj = json.loads(text)
-    return GTree.of(int(obj["n"]), int(obj["root"]),
-                    {int(k): int(v) for k, v in obj["parent"].items()})
+    _check_object(obj, "tree", "n", "root", "parent")
+    n, root, parent = obj["n"], obj["root"], obj["parent"]
+    if not (isinstance(n, int) and isinstance(root, int)
+            and isinstance(parent, dict)
+            and all(isinstance(v, int) for v in parent.values())):
+        raise ValueError("tree JSON needs integer n and root and a parent "
+                         "object mapping vertices to integers")
+    return GTree.of(n, root, parent)
 
 
 def gtree_to_dot(g: GTree) -> str:

@@ -47,6 +47,7 @@ class FinitePoset:
 
     keys: tuple[str, ...]
     covers_up: tuple[tuple[int, ...], ...]
+    covers_down: tuple[tuple[int, ...], ...]
     up: tuple[int, ...]
     down: tuple[int, ...]
     objects: tuple = ()
@@ -83,8 +84,9 @@ class FinitePoset:
                 low = m & -m
                 down[low.bit_length() - 1] |= 1 << i
                 m ^= low
-        return FinitePoset(tuple(keys), covers_up, tuple(up), tuple(down),
-                           tuple(objects))
+        return FinitePoset(tuple(keys), covers_up,
+                           tuple(tuple(p) for p in preds),  # filled in order
+                           tuple(up), tuple(down), tuple(objects))
 
     @staticmethod
     def from_leq(keys, up_masks, objects=()) -> "FinitePoset":
@@ -117,14 +119,6 @@ class FinitePoset:
         return maxs[0]
 
     @cached_property
-    def covers_down(self) -> tuple[tuple[int, ...], ...]:
-        preds: list[list[int]] = [[] for _ in range(len(self))]
-        for i, ups in enumerate(self.covers_up):
-            for j in ups:
-                preds[j].append(i)
-        return tuple(tuple(sorted(p)) for p in preds)
-
-    @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
         """join_table[a][b] is the join index, or -1 when it does not exist."""
         n = len(self)
@@ -137,15 +131,14 @@ class FinitePoset:
         return tuple(tuple(r) for r in table)
 
     @cached_property
+    def dual(self) -> "FinitePoset":
+        """The opposite poset: the same keys and objects, the order reversed."""
+        return FinitePoset(self.keys, self.covers_down, self.covers_up,
+                           self.down, self.up, self.objects)
+
+    @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self)
-        table = [[-1] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                m = brute_meet(self, a, b)
-                v = -1 if m is None else m
-                table[a][b] = table[b][a] = v
-        return tuple(tuple(r) for r in table)
+        return self.dual.join_table
 
 
 def _bits(mask: int):
@@ -198,8 +191,7 @@ def brute_join(p: FinitePoset, a: int, b: int) -> int | None:
 
 
 def brute_meet(p: FinitePoset, a: int, b: int) -> int | None:
-    mlbs = maximal_lower_bounds(p, a, b)
-    return mlbs[0] if len(mlbs) == 1 else None
+    return brute_join(p.dual, a, b)
 
 
 def is_lattice(p: FinitePoset) -> bool:
@@ -478,26 +470,38 @@ def check_semidistributive(p: FinitePoset) -> bool:
 
 # --- maximal orthogonal pairs -----------------------------------------------
 
-def orthogonal_pair(fs: ForcingSystem, members: frozenset[JiIndex]):
-    """The pair (closure of members, its orthogonal complement)."""
-    universe = fs.universe
-    pos = {x: b for b, x in enumerate(universe)}
-    fwd = [1 << b for b in range(len(universe))]
-    bwd = [1 << b for b in range(len(universe))]
+MAX_PAIR_GENERATORS = 25  # grid size (n-1)^2 that pairs_lattice accepts
+
+
+def _orthogonal_closure(fs: ForcingSystem):
+    """Map a mask X over fs.universe to (closed set, orthogonal complement)."""
+    size = len(fs.universe)
+    pos = {x: b for b, x in enumerate(fs.universe)}
+    fwd = [1 << b for b in range(size)]
+    bwd = list(fwd)
     for a, b in fs.arrows_to:
         fwd[pos[a]] |= 1 << pos[b]
         bwd[pos[b]] |= 1 << pos[a]
-    xmask = 0
-    for m in members:
-        xmask |= 1 << pos[m]
-    perp = sum(1 << y for y in range(len(universe)) if bwd[y] & xmask == 0)
-    closed = sum(1 << y for y in range(len(universe)) if fwd[y] & perp == 0)
+
+    def closure(xmask: int) -> tuple[int, int]:
+        perp = sum(1 << y for y in range(size) if bwd[y] & xmask == 0)
+        closed = sum(1 << y for y in range(size) if fwd[y] & perp == 0)
+        return closed, perp
+
+    return closure
+
+
+def orthogonal_pair(fs: ForcingSystem, members: frozenset[JiIndex]):
+    """The pair (closure of members, its orthogonal complement)."""
+    universe = fs.universe
+    closed, perp = _orthogonal_closure(fs)(
+        sum(1 << b for b, x in enumerate(universe) if x in members))
     left = frozenset(universe[b] for b in _bits(closed))
     right = frozenset(universe[b] for b in _bits(perp))
     return left, right
 
 
-def pairs_lattice(n: int, max_generators: int = 25) -> FinitePoset:
+def pairs_lattice(n: int) -> FinitePoset:
     """The poset of maximal orthogonal pairs of the forcing relation.
 
     Pairs (X, Y) with Y the complement of X's arrow targets and X closed;
@@ -507,36 +511,19 @@ def pairs_lattice(n: int, max_generators: int = 25) -> FinitePoset:
     """
     fs = forcing_system(n)
     universe = fs.universe
-    if len(universe) > max_generators:
-        raise ValueError(
-            f"{len(universe)} generators exceed the cap of {max_generators}")
-    pos = {x: b for b, x in enumerate(universe)}
     size = len(universe)
-    fwd = [1 << b for b in range(size)]
-    bwd = [1 << b for b in range(size)]
-    for a, b in fs.arrows_to:
-        fwd[pos[a]] |= 1 << pos[b]
-        bwd[pos[b]] |= 1 << pos[a]
-
-    def closure(xmask: int) -> int:
-        perp = 0
-        for y in range(size):
-            if bwd[y] & xmask == 0:
-                perp |= 1 << y
-        out = 0
-        for y in range(size):
-            if fwd[y] & perp == 0:
-                out |= 1 << y
-        return out
-
-    bottom = closure(0)
+    if size > MAX_PAIR_GENERATORS:
+        raise ValueError(f"{size} generators exceed the cap of "
+                         f"{MAX_PAIR_GENERATORS}")
+    closure = _orthogonal_closure(fs)
+    bottom, _ = closure(0)
     closed = {bottom}
     frontier = [bottom]
     while frontier:
         xmask = frontier.pop()
         for g in range(size):
             if not xmask & (1 << g):
-                c = closure(xmask | (1 << g))
+                c, _ = closure(xmask | (1 << g))
                 if c not in closed:
                     closed.add(c)
                     frontier.append(c)

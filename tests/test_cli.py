@@ -100,6 +100,32 @@ def test_cut_sew_fiber_lift_commands(capsys, tmp_path):
     assert code == 0 and json.loads(out) == fx["tubing"]
 
 
+@pytest.mark.parametrize("obj", [
+    {"tubes": [[1]]},
+    {"graph": {"kind": "cycle", "n": 4}, "tubes": 5},
+    [1, 2],
+    {"graph": {"kind": "path", "n": 3}, "tubes": [[1], [1, 2], [1, 2.5]]},
+    {"graph": {"kind": "path", "n": 3}, "tubes": [[1], [1, 2], [1, 2, 99]]},
+    {"graph": {"kind": "custom", "n": 3, "edges": [[1, 2], 3]}, "tubes": []},
+])
+def test_malformed_tubing_json_exits_two(capsys, tmp_path, obj):
+    bad = write_json(tmp_path, "bad.json", obj)
+    code, out, err = run(capsys, "cut", "--input", bad)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_fiber_count_does_not_list_the_words(capsys, tmp_path):
+    # path tubing rooted at 15 whose zippers are the chains 1..14 and 30..16
+    n = 30
+    tubes = ([list(range(1, k + 1)) for k in range(1, 15)]
+             + [list(range(k, n + 1)) for k in range(16, n + 1)]
+             + [list(range(1, n + 1))])
+    base = write_json(tmp_path, "x.json",
+                      {"graph": {"kind": "path", "n": n}, "tubes": tubes})
+    code, out, _ = run(capsys, "fiber", "--base", base, "--format", "count")
+    assert code == 0 and out == "77558760\n"
+
+
 def test_join_meet_commands(capsys, tmp_path):
     c5 = graph("cycle", 5)
     lo = tl.minimum_tubing(c5)
@@ -133,6 +159,19 @@ def test_gtree_conversion_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "gtree", "--input", tub, "--format", "dot")
     assert code == 0 and out.startswith("digraph gtree {")
     assert '"5" [shape=doublecircle];' in out
+
+
+@pytest.mark.parametrize("obj", [
+    5,
+    {"n": 3, "root": 1},
+    {"n": 3, "root": 1, "parent": [2, 1]},
+    {"n": 3, "root": 1, "parent": {"2": [1], "3": 1}},
+    {"n": 64, "root": 1, "parent": {}},
+])
+def test_malformed_tree_json_exits_two(capsys, tmp_path, obj):
+    bad = write_json(tmp_path, "bad.json", obj)
+    code, out, err = run(capsys, "gtree", "--input", bad, "--graph", "cycle")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_ji_kappa_forcing_commands(capsys):
@@ -175,13 +214,6 @@ def test_verify_all_runs_every_suite(capsys):
     assert code == 0
     for selector in cli.SELECTORS:
         assert f"PASS {selector}" in out
-
-
-def test_verify_thread_env_does_not_change_output(capsys, monkeypatch):
-    code1, out1, _ = run(capsys, "verify", "--selector", "all", "--n", "3")
-    monkeypatch.setenv("TUBELAT_THREADS", "4")
-    code2, out2, _ = run(capsys, "verify", "--selector", "all", "--n", "3")
-    assert (code1, out1) == (code2, out2)
 
 
 def test_commands_are_deterministic(capsys):

@@ -180,6 +180,12 @@ def test_singleton_fiber_when_a_zipper_is_empty():
     assert cl.cut(cl.sew(chain, words[0])) == chain
 
 
+def test_fiber_size_counts_the_fiber_words():
+    for n in range(1, 7):
+        for x in tubings("path", n):
+            assert cl.fiber_size(x) == len(cl.fiber_words(x))
+
+
 def test_cut_after_sew_is_identity_everywhere():
     import math
     for n in (3, 4, 5):

@@ -17,13 +17,17 @@ def test_make_graph_shapes():
     assert graph("complete", 3).edges == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
-def test_make_graph_rejects_bad_sizes():
+def test_make_graph_rejects_bad_sizes(monkeypatch):
     with pytest.raises(ValueError):
         tl.make_graph("cycle", 2)
     with pytest.raises(ValueError):
         tl.make_graph("path", 0)
     with pytest.raises(ValueError):
         tl.make_graph("path", 64)
+    # a huge n must be refused before its edge set is built
+    monkeypatch.setattr(gc, "_expected_edges", None)
+    with pytest.raises(ValueError, match="vertex count"):
+        tl.make_graph("cycle", 10 ** 12)
 
 
 def test_custom_graph_must_be_connected_and_simple():

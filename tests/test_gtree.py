@@ -233,3 +233,10 @@ def test_gtree_of_rejects_malformed_trees():
         gt.GTree.of(3, 1, {2: 3, 3: 2})  # cycle between 2 and 3
     with pytest.raises(ValueError):
         gt.GTree.of(3, 1, {2: 1})  # 3 has no parent
+
+
+def test_gtree_of_rejects_vertex_counts_out_of_range():
+    for n in (0, 64):
+        with pytest.raises(ValueError,
+                           match=rf"vertex count must be in 1\.\.63, got {n}"):
+            gt.GTree.of(n, 1, {})

@@ -60,19 +60,36 @@ def boolean_square():
         ["0", "a", "b", "1"], [(1, 2), (3,), (3,), ()])
 
 
+def two_tops():
+    # a and b have the two minimal upper bounds x and y: not a lattice
+    return la.FinitePoset.from_covers(
+        ["0", "a", "b", "x", "y"], [(1, 2), (3, 4), (3, 4), (), ()])
+
+
 def test_brute_join_and_failure_reporting():
     p = poset("cycle", 4)
     lo = p.minimum()
     for b in range(len(p)):
         assert la.brute_join(p, lo, b) == b
         assert la.brute_meet(p, lo, b) == lo
-    broken = la.FinitePoset.from_covers(
-        ["0", "a", "b", "x", "y"], [(1, 2), (3, 4), (3, 4), (), ()])
+    broken = two_tops()
     assert la.brute_join(broken, 1, 2) is None
     assert len(la.minimal_upper_bounds(broken, 1, 2)) == 2
     assert not la.is_lattice(broken)
     witness = la.lattice_failure(broken)
     assert witness is not None and "minimal_upper_bounds" in witness
+
+
+def test_dual_poset_and_meet_table():
+    for p in (poset("path", 4), poset("cycle", 4), two_tops()):
+        dd = p.dual.dual
+        assert (dd.up, dd.down) == (p.up, p.down)
+        for a in range(len(p)):
+            for b in range(len(p)):
+                mlbs = la.maximal_lower_bounds(p, a, b)
+                want = mlbs[0] if len(mlbs) == 1 else -1
+                assert p.meet_table[a][b] == want
+    assert two_tops().meet_table[3][4] == -1
 
 
 def test_mobius_basics():
