@@ -21,6 +21,7 @@ from . import lattice_analysis as la
 ENUM_CAPS = {"path": 12, "cycle": 9, "complete": 8}
 VERIFY_CAPS = {"lattice": 6, "order": 6, "quotient": 6, "sdl": 5, "cu": 12,
                "mobius": 6, "ji": 12, "selfdual": 8, "regular": 8, "pairs": 5}
+FIBER_CAP = math.comb(16, 8)  # words; every fiber of a path with n <= 17 fits
 SELECTORS = ("lattice", "order", "quotient", "sdl", "cu", "mobius", "ji",
              "selfdual", "regular", "pairs")
 
@@ -352,15 +353,9 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _cap_for_binary(t: gc.Tubing) -> int:
-    return ENUM_CAPS["cycle"] if t.graph.kind == gc.CYCLE else ENUM_CAPS["path"]
-
-
 def cmd_join(args) -> int:
     a = _load_tubing(args.a)
     b = _load_tubing(args.b)
-    if a.n > _cap_for_binary(a) and not args.force:
-        return _fail("join cap exceeded (use --force to override)", 3)
     if a.graph.kind == gc.CYCLE:
         result = cl.meet_cycle(a, b) if args.op == "meet" else cl.join_cycle(a, b)
     else:
@@ -383,9 +378,13 @@ def cmd_sew(args) -> int:
 
 def cmd_fiber(args) -> int:
     base = _load_tubing(args.base)
+    size = cl.fiber_size(base)
     if args.format == "count":
-        print(cl.fiber_size(base))
+        print(size)
         return 0
+    if size > FIBER_CAP and not args.force:
+        return _fail(f"fiber cap is {FIBER_CAP} words, this one has {size} "
+                     f"(use --force to override)", 3)
     for w in cl.fiber_words(base):
         print(_dump({"word": w.serialize(),
                      "tubing": json.loads(gc.tubing_to_json(cl.sew(base, w)))}))
@@ -502,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} of two tubings (path or cycle)")
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
-        p.add_argument("--force", action="store_true")
         p.set_defaults(func=cmd_join, op=name)
 
     p = sub.add_parser("cut", help="project a cycle tubing to the path")
@@ -518,6 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="all cycle tubings cutting to a base")
     p.add_argument("--base", required=True)
     p.add_argument("--format", choices=["json", "count"], default="json")
+    p.add_argument("--force", action="store_true",
+                   help="override the feasibility cap on listed words")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("lift", help="least fiber element above a cycle tubing")

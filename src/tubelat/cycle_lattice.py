@@ -2,8 +2,11 @@
 
 The order on maximal tubings of the cycle graph admits a global test: j is
 below k exactly when every inversion of j is an inversion or an
-incomparable pair of k. For the path graph plain inversion containment
-suffices.
+incomparable pair of k. For the path graph the order is componentwise on
+the bracket vector of Huang and Tamari: r[v] is the size of the right
+subtree of v in the binary search tree of the tubing. The meet of two
+path tubings is the componentwise minimum of their bracket vectors, and
+the join is the least bracket vector above the componentwise maximum.
 
 The bridge between the two posets is the cut map, which snips the edge
 between vertices 1 and n. Cutting a cycle tubing yields a path tubing; the
@@ -11,21 +14,20 @@ fiber over a path tubing is parameterized by the in-order shuffles of its
 two zippers, and carries the order of a weak-order interval. Joins in the
 cycle poset are computed by joining the cut images in the path poset,
 lifting both arguments into the fiber over that join, and joining the
-resulting shuffle words coordinatewise.
+resulting shuffle words coordinatewise. A lift climbs from the cut image to
+its target one tree rotation at a time, always taking the first rotation
+that stays below the target, and rewrites the shuffle word on the way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .graph_core import (CYCLE, PATH, Graph, Tubing, _bit, make_graph,
-                         mask_of, vertices_of)
-from .gtree import (CYCLE_CBT, PATH_BST, GTree, gtree_of, inversion_masks,
-                    pair_mask_universe, tree_move, tubing_of, validate,
-                    zippers)
+from .graph_core import (CYCLE, PATH, Graph, Tubing, make_graph,
+                         relabel_reverse)
+from .gtree import gtree_of, inversion_masks, pair_mask_universe, zippers
 
 
 def _require(t: Tubing, kind: str):
@@ -39,13 +41,37 @@ def _same_n(a: Tubing, b: Tubing):
 
 
 def leq_path(x: Tubing, y: Tubing) -> bool:
-    """Order test for path tubings: inversion containment."""
+    """Order test for path tubings: componentwise on the bracket vectors."""
     _require(x, PATH)
     _require(y, PATH)
     _same_n(x, y)
-    ix, _ = inversion_masks(gtree_of(x.graph, x))
-    iy, _ = inversion_masks(gtree_of(y.graph, y))
-    return ix & ~iy == 0
+    return all(a <= b for a, b in zip(_right_sizes(x), _right_sizes(y)))
+
+
+def _right_sizes(x: Tubing) -> list[int]:
+    """The bracket vector of a path tubing; index 0 is unused.
+
+    The tube of v is an interval of the path, and r[v] counts its vertices
+    above v, which form the right subtree of v.
+    """
+    return [0] + [(x.down(v) >> v).bit_length() for v in range(1, x.n + 1)]
+
+
+def _path_tubing(graph: Graph, r: list[int]) -> Tubing:
+    """The path tubing with bracket vector r.
+
+    The tube of v ends at v + r[v] and starts just above the nearest u < v
+    whose tube reaches v; the scan for u skips whole tubes that end before v.
+    """
+    start = [0] * len(r)
+    masks = []
+    for v in range(1, len(r)):
+        u = v - 1
+        while u and u + r[u] < v:
+            u = start[u] - 1
+        start[v] = u + 1
+        masks.append((1 << (v + r[v])) - (1 << u))
+    return Tubing._make(graph, masks)
 
 
 def leq_cycle(j: Tubing, k: Tubing) -> bool:
@@ -196,83 +222,61 @@ def fiber(x: Tubing) -> tuple[Tubing, ...]:
 
 # --- lifting along the path order -------------------------------------------
 
-def _cover_moves(x: Tubing):
-    """Upward covers of a path tubing, via moves on the left edges of its tree.
+def _rotate_up(parent: list[int], r: list[int], word: list[int], u: int):
+    """Rotate the left edge from u up to its parent v, in place.
 
-    Yields (moved tree, moved child u, its parent v, exchanged tube key).
+    parent is the tree of a path tubing (parent[root] == 0), r its bracket
+    vector and word a shuffle word over it. The rotation hands the right
+    subtree of u to v and raises r[u] by 1 + r[v]. Four positions of the
+    edge are possible and each leaves its own footprint on the zipper word:
+    at the top, u becomes the new root and the old root joins the right
+    zipper last; inside the left zipper, v drops out and u takes its slot;
+    adjacent to the right zipper, u joins it just after v; away from the
+    zippers the word is unchanged.
     """
-    g = gtree_of(x.graph, x)
-    for u in range(1, x.n + 1):
-        if u == g.root:
-            continue
-        v = g.parent[u]
-        if u > v:
-            continue  # right edge, the move would go down
-        yield tree_move(g, u, PATH_BST), u, v, vertices_of(g.down_masks[u])
+    v = parent[u]
+    for c in range(u + 1, u + r[u] + 1):
+        if parent[c] == u:  # the right child of u
+            parent[c] = v
+            break
+    parent[u], parent[v] = parent[v], u
+    r[u] += 1 + r[v]
+    if parent[u] == 0:  # v was the root
+        word.remove(u)
+        word.append(v)
+    elif u in word:  # a left child is a zipper letter only on the left zipper
+        word.remove(u)
+        word[word.index(v)] = u
+    elif v in word:  # v is on the right zipper; u tops its hanging subtree
+        word.insert(word.index(v) + 1, u)
 
 
-def _surgered_word(word: tuple[int, ...], u: int, v: int, x: Tubing,
-                   g: GTree) -> tuple[int, ...]:
-    """Rewrite the shuffle word across one upward cover move on (u, v).
-
-    The move turns the left edge from u up to v in the tree of x into a
-    right edge. Four positions of that edge are possible and each leaves its
-    own footprint on the zipper word: away from the zippers the word is
-    unchanged; adjacent to the right zipper, u joins it just after v;
-    inside the left zipper, v drops out and u takes its slot; at the top,
-    u becomes the new root and the old root joins the right zipper last.
-    """
-    left, _ = zippers(g)
-    leftset = set(left)
-    w = list(word)
-    if v == g.root:
-        w.remove(u)
-        w.append(v)
-        return tuple(w)
-    if v in leftset:
-        w.remove(u)
-        w[w.index(v)] = u
-        return tuple(w)
-    if v in set(word):  # v is a right zipper vertex; u tops its hanging subtree
-        w.insert(w.index(v) + 1, u)
-        return tuple(w)
-    return tuple(w)
+def _lift_word(j: Tubing, base: Tubing, x: Tubing) -> tuple[int, ...]:
+    """The shuffle word over x of lift(j, x), where base = cut(j) <= x."""
+    parent = list(gtree_of(base.graph, base).parent)
+    word = list(_word_over(j, base).word)
+    r, target = _right_sizes(base), _right_sizes(x)
+    while r != target:
+        u = next(u for u in range(1, len(r)) if u < parent[u]
+                 and r[u] + 1 + r[parent[u]] <= target[u])
+        _rotate_up(parent, r, word, u)
+    return tuple(word)
 
 
 def lift(j: Tubing, x: Tubing) -> Tubing:
     """The least element of the fiber over x that lies above j.
 
     Requires cut(j) <= x. Walks a saturated chain from cut(j) up to x,
-    rewriting j's shuffle word across each cover step; the result does not
-    depend on the chain, but ties between available covers are broken by
-    the lexicographically smallest exchanged tube for determinism.
+    taking at each step the first left edge, by its lower vertex, whose
+    rotation stays below x, and rewrites j's shuffle word across each
+    rotation. The result does not depend on the chain.
     """
     _require(j, CYCLE)
     _require(x, PATH)
     base = cut(j)
     if not leq_path(base, x):
         raise ValueError("lift requires cut(j) <= x in the path order")
-    return _lift_from(j, base, x)
-
-
-def _lift_from(j: Tubing, base: Tubing, x: Tubing) -> Tubing:
-    target_inv, _ = inversion_masks(gtree_of(x.graph, x))
-    current = j
-    while base != x:
-        g = gtree_of(base.graph, base)
-        word = _word_over(current, base).word
-        best = None
-        for g2, u, v, exch in _cover_moves(base):
-            inv2, _ = inversion_masks(g2)
-            if inv2 & ~target_inv == 0 and (best is None or exch < best[3]):
-                best = (g2, u, v, exch)
-        if best is None:  # cannot happen when cut(j) <= x
-            raise AssertionError("no cover step toward the target tubing")
-        g2, u, v, _ = best
-        upper = tubing_of(base.graph, g2)
-        current = sew(upper, _surgered_word(word, u, v, base, g))
-        base = upper
-    return current
+    return sew(x, _lift_word(j, base, x))
 
 
 # --- joins and meets --------------------------------------------------------
@@ -326,46 +330,35 @@ def shuffle_meet(x: Tubing, w1: ShuffleWord, w2: ShuffleWord) -> ShuffleWord:
     return _shuffle_bound(x, w1, w2, min)
 
 
-@lru_cache(maxsize=None)
-def _path_universe(n: int):
-    """All path tubings on n vertices with their inversion masks."""
-    from .graph_core import enumerate_maximal_tubings
-    graph = make_graph(PATH, n)
-    elems = enumerate_maximal_tubings(graph)
-    masks = tuple(inversion_masks(gtree_of(graph, t))[0] for t in elems)
-    return elems, masks
+def meet_path(x: Tubing, y: Tubing) -> Tubing:
+    """Meet in the path order: the componentwise minimum of bracket vectors."""
+    _require(x, PATH)
+    _require(y, PATH)
+    _same_n(x, y)
+    r = [min(a, b) for a, b in zip(_right_sizes(x), _right_sizes(y))]
+    return _path_tubing(x.graph, r)
 
 
 def join_path(x: Tubing, y: Tubing) -> Tubing:
-    """Join in the path order, by table scan over the enumerated poset."""
+    """Join in the path order: the least bracket vector above both.
+
+    A vector is a bracket vector when the interval from v to v + r[v]
+    contains the interval of every w inside it. Starting from the
+    componentwise maximum, each interval, taken from the right, grows just
+    enough to contain the intervals that start inside it; the jumps skip
+    intervals nested in one already seen.
+    """
     _require(x, PATH)
     _require(y, PATH)
     _same_n(x, y)
-    elems, masks = _path_universe(x.n)
-    ix, _ = inversion_masks(gtree_of(x.graph, x))
-    iy, _ = inversion_masks(gtree_of(y.graph, y))
-    target = ix | iy
-    ubs = [m for t, m in zip(elems, masks) if target & ~m == 0]
-    best = min(ubs, key=lambda m: m.bit_count())
-    if any(best & ~m for m in ubs):  # the path poset is a lattice
-        raise AssertionError("upper bounds have no common minimum")
-    return elems[masks.index(best)]
-
-
-def meet_path(x: Tubing, y: Tubing) -> Tubing:
-    """Meet in the path order: the maximal common lower bound."""
-    _require(x, PATH)
-    _require(y, PATH)
-    _same_n(x, y)
-    elems, masks = _path_universe(x.n)
-    ix, _ = inversion_masks(gtree_of(x.graph, x))
-    iy, _ = inversion_masks(gtree_of(y.graph, y))
-    target = ix & iy
-    lbs = [m for t, m in zip(elems, masks) if m & ~target == 0]
-    best = max(lbs, key=lambda m: m.bit_count())
-    if any(m & ~best for m in lbs):
-        raise AssertionError("lower bounds have no common maximum")
-    return elems[masks.index(best)]
+    r = [max(a, b) for a, b in zip(_right_sizes(x), _right_sizes(y))]
+    for v in range(len(r) - 1, 0, -1):
+        end, w = v + r[v], v + 1
+        while w <= end:
+            end = max(end, w + r[w])
+            w += r[w] + 1
+        r[v] = end - v
+    return _path_tubing(x.graph, r)
 
 
 def join_cycle(j: Tubing, k: Tubing) -> Tubing:
@@ -379,12 +372,11 @@ def join_cycle(j: Tubing, k: Tubing) -> Tubing:
     _same_n(j, k)
     cj, ck = cut(j), cut(k)
     x = join_path(cj, ck)
-    jw = _word_over(_lift_from(j, cj, x), x)
-    kw = _word_over(_lift_from(k, ck, x), x)
+    jw = ShuffleWord.of(x, _lift_word(j, cj, x))
+    kw = ShuffleWord.of(x, _lift_word(k, ck, x))
     return sew(x, shuffle_join(x, jw, kw))
 
 
 def meet_cycle(j: Tubing, k: Tubing) -> Tubing:
     """Meet of two cycle tubings, through the order-reversing relabelling."""
-    from .graph_core import relabel_reverse
     return relabel_reverse(join_cycle(relabel_reverse(j), relabel_reverse(k)))

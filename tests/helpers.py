@@ -10,6 +10,8 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import tubelat as tl
 from tubelat import graph_core as gc
 from tubelat import lattice_analysis as la
@@ -98,3 +100,35 @@ def closure_leq(kind: str, n: int):
         return bool(up[index[a.tube_masks]] & (1 << index[b.tube_masks]))
 
     return elems, leq
+
+
+def search_tree_tubing(kind: str, n: int, choose):
+    """The tubing of a search tree whose shape is picked by choose(lo, hi).
+
+    choose returns an integer in lo..hi; it picks the root of every
+    interval in turn. A path tree is a search tree on 1 < ... < n; a cycle
+    tree is a root m = choose(1, n) above a search tree on the rotated
+    order m+1 < ... < n < 1 < ... < m-1.
+    """
+    if kind == "cycle":
+        top = choose(1, n)
+        order = [(top + i) % n + 1 for i in range(n - 1)]
+    else:
+        top, order = 0, list(range(1, n + 1))
+    parent = {}
+    stack = [(0, len(order) - 1, top)]
+    while stack:
+        lo, hi, p = stack.pop()
+        if lo <= hi:
+            i = choose(lo, hi)
+            parent[order[i]] = p
+            stack += [(lo, i - 1, order[i]), (i + 1, hi, order[i])]
+    root = top or next(v for v, p in parent.items() if p == 0)
+    parent.pop(root, None)
+    return tl.tubing_of(graph(kind, n), tl.GTree.of(n, root, parent))
+
+
+@st.composite
+def search_tree_tubings(draw, kind: str, n: int):
+    """Hypothesis strategy over the tubings of search_tree_tubing."""
+    return search_tree_tubing(kind, n, lambda lo, hi: draw(st.integers(lo, hi)))

@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 
 import tubelat as tl
 from tubelat import cli
 from tubelat import cycle_lattice as cl
-from helpers import graph, load_fixture
+from helpers import graph, load_fixture, search_tree_tubing
 
 
 def run(capsys, *argv):
@@ -114,16 +115,27 @@ def test_malformed_tubing_json_exits_two(capsys, tmp_path, obj):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_fiber_count_does_not_list_the_words(capsys, tmp_path):
+def write_wide_fiber_base(tmp_path):
     # path tubing rooted at 15 whose zippers are the chains 1..14 and 30..16
     n = 30
     tubes = ([list(range(1, k + 1)) for k in range(1, 15)]
              + [list(range(k, n + 1)) for k in range(16, n + 1)]
              + [list(range(1, n + 1))])
-    base = write_json(tmp_path, "x.json",
+    return write_json(tmp_path, "x.json",
                       {"graph": {"kind": "path", "n": n}, "tubes": tubes})
+
+
+def test_fiber_count_does_not_list_the_words(capsys, tmp_path):
+    base = write_wide_fiber_base(tmp_path)
     code, out, _ = run(capsys, "fiber", "--base", base, "--format", "count")
     assert code == 0 and out == "77558760\n"
+
+
+def test_fiber_json_is_capped(capsys, tmp_path):
+    base = write_wide_fiber_base(tmp_path)
+    code, out, err = run(capsys, "fiber", "--base", base)
+    assert code == 3 and out == ""
+    assert "cap" in err and "(use --force to override)" in err
 
 
 def test_join_meet_commands(capsys, tmp_path):
@@ -144,6 +156,23 @@ def test_join_meet_commands(capsys, tmp_path):
     assert code == 0
     assert json.loads(out) == json.loads(
         tl.tubing_to_json(tl.relabel_reverse(tl.minimum_tubing(p5))))
+
+
+def test_join_meet_commands_beyond_the_exhaustive_range(capsys, tmp_path):
+    rng = random.Random(7)
+    for kind, n in (("path", 30), ("cycle", 20)):
+        a, b = (search_tree_tubing(kind, n, rng.randint) for _ in range(2))
+        fa = write_tubing(tmp_path, "a.json", a)
+        fb = write_tubing(tmp_path, "b.json", b)
+        code, out, _ = run(capsys, "join", "--a", fa, "--b", fb)
+        assert code == 0
+        join = tl.tubing_from_json(out)
+        code, out, _ = run(capsys, "meet", "--a", fa, "--b", fb)
+        assert code == 0
+        meet = tl.tubing_from_json(out)
+        leq = cl.leq_cycle if kind == "cycle" else cl.leq_path
+        assert leq(a, join) and leq(b, join)
+        assert leq(meet, a) and leq(meet, b)
 
 
 def test_gtree_conversion_commands(capsys, tmp_path):

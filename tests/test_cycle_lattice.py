@@ -6,6 +6,7 @@ import pytest
 import tubelat as tl
 from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
+from tubelat.graph_core import vertices_of
 from helpers import closure_leq, graph, load_fixture, poset, tubings
 
 
@@ -281,31 +282,35 @@ def test_lift_is_least_fiber_element_above():
 
 
 def test_lift_is_independent_of_the_chain():
-    # every saturated chain of cover steps produces the same element
-    def lifts_over_all_chains(j, base, x, target_inv):
-        if base == x:
-            return {j.tube_masks}
+    # every saturated chain of rotations from cut(j) up to x produces the
+    # same element, and every chain ends on the tree of x
+    def words_over_all_chains(parent, r, word, target, tree):
+        if r == target:
+            assert parent == tree
+            return {tuple(word)}
         out = set()
-        word = cl._word_over(j, base).word
-        g = tl.gtree_of(base.graph, base)
-        for g2, u, v, _ in cl._cover_moves(base):
-            inv2, _ = gt.inversion_masks(g2)
-            if inv2 & ~target_inv:
-                continue
-            upper = tl.tubing_of(base.graph, g2)
-            nxt = cl.sew(upper, cl._surgered_word(word, u, v, base, g))
-            out |= lifts_over_all_chains(nxt, upper, x, target_inv)
+        for u in range(1, len(r)):
+            if u > parent[u]:
+                continue  # the root or a right edge, the rotation goes down
+            p2, r2, w2 = list(parent), list(r), list(word)
+            cl._rotate_up(p2, r2, w2, u)
+            if all(a <= b for a, b in zip(r2, target)):
+                out |= words_over_all_chains(p2, r2, w2, target, tree)
         return out
 
     for n in (4, 5):
         for j in tubings("cycle", n):
             cj = cl.cut(j)
+            start = list(tl.gtree_of(cj.graph, cj).parent)
+            word = list(cl.word_of(j).word)
             for x in tubings("path", n):
                 if not cl.leq_path(cj, x):
                     continue
-                target_inv, _ = gt.inversion_masks(tl.gtree_of(x.graph, x))
-                results = lifts_over_all_chains(j, cj, x, target_inv)
-                assert results == {cl.lift(j, x).tube_masks}
+                tree = list(tl.gtree_of(x.graph, x).parent)
+                words = words_over_all_chains(start, cl._right_sizes(cj), word,
+                                              cl._right_sizes(x), tree)
+                assert {cl.sew(x, w).tube_masks for w in words} == \
+                    {cl.lift(j, x).tube_masks}
 
 
 def test_lift_requires_comparable_cut():
@@ -362,16 +367,35 @@ def test_join_path_identities():
 
 
 def test_join_path_matches_poset_oracle():
-    from tubelat import lattice_analysis as la
-    for n in (4, 5, 6):
+    for n in (4, 5, 6, 7):
         p = poset("path", n)
         elems = p.objects
+        index = {t.tube_masks: i for i, t in enumerate(elems)}
         for a in range(len(elems)):
             for b in range(a, len(elems)):
                 j = cl.join_path(elems[a], elems[b])
                 m = cl.meet_path(elems[a], elems[b])
-                assert p.keys.index(j.key()) == p.join_table[a][b]
-                assert p.keys.index(m.key()) == p.meet_table[a][b]
+                assert index[j.tube_masks] == p.join_table[a][b]
+                assert index[m.tube_masks] == p.meet_table[a][b]
+
+
+def test_path_meets_and_joins_are_componentwise_on_subtree_sizes():
+    # Huang-Tamari: the oracle meet takes the componentwise minimum of the
+    # right subtree sizes, the oracle join that of the left subtree sizes
+    def subtree_sizes(t):
+        g = tl.gtree_of(t.graph, t)
+        down = [vertices_of(g.down_masks[v]) for v in range(1, t.n + 1)]
+        return ([sum(u > v for u in d) for v, d in enumerate(down, 1)],
+                [sum(u < v for u in d) for v, d in enumerate(down, 1)])
+
+    for n in (4, 5, 6, 7):
+        p = poset("path", n)
+        sizes = [subtree_sizes(t) for t in p.objects]
+        for a in range(len(p)):
+            for b in range(a, len(p)):
+                (ra, la_), (rb, lb) = sizes[a], sizes[b]
+                assert sizes[p.meet_table[a][b]][0] == list(map(min, ra, rb))
+                assert sizes[p.join_table[a][b]][1] == list(map(min, la_, lb))
 
 
 def test_path_meet_is_reversed_join():
