@@ -123,12 +123,13 @@ def verify_lattice(n: int):
 def verify_quotient(n: int):
     p = _poset(gc.CYCLE, n)
     elems = p.objects
+    cuts = [cl.cut(t) for t in elems]
     for a in range(len(elems)):
         for b in range(a, len(elems)):
             j, k = elems[a], elems[b]
-            if cl.cut(cl.join_cycle(j, k)) != cl.join_path(cl.cut(j), cl.cut(k)):
+            if cl.cut(cl.join_cycle(j, k)) != cl.join_path(cuts[a], cuts[b]):
                 return False, [], {"op": "join", "pair": [j.key(), k.key()]}
-            if cl.cut(cl.meet_cycle(j, k)) != cl.meet_path(cl.cut(j), cl.cut(k)):
+            if cl.cut(cl.meet_cycle(j, k)) != cl.meet_path(cuts[a], cuts[b]):
                 return False, [], {"op": "meet", "pair": [j.key(), k.key()]}
     graph_p = gc.make_graph(gc.PATH, n)
     total = 0
@@ -150,8 +151,8 @@ def verify_quotient(n: int):
         total += len(words)
     if total != len(elems):
         return False, [], {"fiber_sizes_sum": total, "expected": len(elems)}
-    for t in elems:
-        if cl.cut(gc.relabel_reverse(t)) != gc.relabel_reverse(cl.cut(t)):
+    for t, x in zip(elems, cuts):
+        if cl.cut(gc.relabel_reverse(t)) != gc.relabel_reverse(x):
             return False, [], {"cut_reversal_mismatch": t.key()}
     return True, [f"quotient: cut respects joins and meets on all pairs (n={n})",
                   f"quotient: fibers shuffle-parameterized, sizes sum to "
@@ -169,6 +170,19 @@ def verify_sdl(n: int):
 
 def verify_cu(n: int):
     fs = la.forcing_system(n)
+    onto, into = fs.arrows_onto, fs.arrows_into
+    for rel in (onto, into):
+        bad = next(((a, b, d) for a, b in rel for c, d in rel
+                    if b == c and a != d and (a, d) not in rel), None)
+        if bad is not None:
+            return False, [], {"not_transitive": bad}
+    bad = next(((a, b) for a, b in onto if (b, a) in into), None)
+    if bad is not None:
+        return False, [], {"onto_into_two_cycle": bad}
+    forces = la._forces_from_definition(fs.universe, onto, into)
+    if forces != fs.arrows_force:
+        return False, [], {"forcing_closed_form_differs":
+                           sorted(forces ^ fs.arrows_force)[0]}
     if not la.relation_acyclic(fs.universe, fs.arrows_force):
         return False, [], {"forcing_cycle": True, "n": n}
     for a, b in fs.arrows_force:
@@ -400,14 +414,14 @@ def cmd_lift(args) -> int:
 
 def cmd_gtree(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = gc.parse_json(fh.read())
     if isinstance(obj, dict) and "tubes" in obj:
-        t = gc.tubing_from_json(json.dumps(obj))
+        t = gc.tubing_from_obj(obj)
         g = gt.gtree_of(t.graph, t)
         print(gt.gtree_to_dot(g) if args.format == "dot"
               else gt.gtree_to_json(g))
         return 0
-    g = gt.gtree_from_json(json.dumps(obj))
+    g = gt.gtree_from_obj(obj)
     if args.graph is None:
         return _fail("tree to tubing conversion needs --graph", 2)
     graph = gc.make_graph(args.graph, g.n)

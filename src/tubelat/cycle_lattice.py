@@ -109,7 +109,7 @@ def cut(j: Tubing) -> Tubing:
             masks.append(dm & low)
         else:
             masks.append(dm & high)
-    return Tubing._make_checked(make_graph(PATH, n), masks)
+    return Tubing._make(make_graph(PATH, n), masks)
 
 
 # --- shuffle words and the sew map ------------------------------------------
@@ -157,7 +157,8 @@ def sew(x: Tubing, w) -> Tubing:
 
     The tube of the i-th word letter becomes the union of the tubes of the
     first i letters; all other tubes are unchanged. Cutting the result
-    recovers x.
+    recovers x. A raw sequence w is checked by ShuffleWord.of; a
+    ShuffleWord is trusted.
     """
     word = w if isinstance(w, ShuffleWord) else ShuffleWord.of(x, w)
     if word.base != x:
@@ -172,7 +173,7 @@ def sew(x: Tubing, w) -> Tubing:
         cumulative[v] = acc
     for v in range(1, n + 1):
         masks.append(cumulative[v] if v in in_word else x.down(v))
-    return Tubing._make_checked(make_graph(CYCLE, n), masks)
+    return Tubing._make(make_graph(CYCLE, n), masks)
 
 
 def word_of(j: Tubing) -> ShuffleWord:
@@ -188,7 +189,7 @@ def word_of(j: Tubing) -> ShuffleWord:
 def _word_over(j: Tubing, x: Tubing) -> ShuffleWord:
     left, right = zippers(gtree_of(x.graph, x))
     letters = sorted(left + right, key=lambda v: j.down(v).bit_count())
-    return ShuffleWord.of(x, letters)
+    return ShuffleWord(x, tuple(letters))
 
 
 def fiber_words(x: Tubing) -> tuple[ShuffleWord, ...]:
@@ -204,7 +205,7 @@ def fiber_words(x: Tubing) -> tuple[ShuffleWord, ...]:
         aset = set(apos)
         for pos in range(l + r):
             word[pos] = next(ai) if pos in aset else next(bi)
-        out.append(ShuffleWord.of(x, word))
+        out.append(ShuffleWord(x, tuple(word)))
     return tuple(out)
 
 
@@ -251,7 +252,7 @@ def _rotate_up(parent: list[int], r: list[int], word: list[int], u: int):
         word.insert(word.index(v) + 1, u)
 
 
-def _lift_word(j: Tubing, base: Tubing, x: Tubing) -> tuple[int, ...]:
+def _lift_word(j: Tubing, base: Tubing, x: Tubing) -> ShuffleWord:
     """The shuffle word over x of lift(j, x), where base = cut(j) <= x."""
     parent = list(gtree_of(base.graph, base).parent)
     word = list(_word_over(j, base).word)
@@ -260,7 +261,7 @@ def _lift_word(j: Tubing, base: Tubing, x: Tubing) -> tuple[int, ...]:
         u = next(u for u in range(1, len(r)) if u < parent[u]
                  and r[u] + 1 + r[parent[u]] <= target[u])
         _rotate_up(parent, r, word, u)
-    return tuple(word)
+    return ShuffleWord(x, tuple(word))
 
 
 def lift(j: Tubing, x: Tubing) -> Tubing:
@@ -305,7 +306,7 @@ def _word_from_counts(x: Tubing, counts: tuple[int, ...]) -> ShuffleWord:
             ri += 1
         word.append(a)
     word.extend(right[ri:])
-    return ShuffleWord.of(x, word)
+    return ShuffleWord(x, tuple(word))
 
 
 def _shuffle_bound(x: Tubing, w1: ShuffleWord, w2: ShuffleWord, pick):
@@ -372,9 +373,7 @@ def join_cycle(j: Tubing, k: Tubing) -> Tubing:
     _same_n(j, k)
     cj, ck = cut(j), cut(k)
     x = join_path(cj, ck)
-    jw = ShuffleWord.of(x, _lift_word(j, cj, x))
-    kw = ShuffleWord.of(x, _lift_word(k, ck, x))
-    return sew(x, shuffle_join(x, jw, kw))
+    return sew(x, shuffle_join(x, _lift_word(j, cj, x), _lift_word(k, ck, x)))
 
 
 def meet_cycle(j: Tubing, k: Tubing) -> Tubing:

@@ -53,10 +53,6 @@ def _check_vertex_count(n: int):
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @lru_cache(maxsize=1 << 16)
 def _tube_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), vertices_of(mask))
@@ -192,7 +188,7 @@ def all_tubes(graph: Graph) -> tuple[int, ...]:
     if graph.n > 20:
         raise ValueError("all_tubes() is only feasible for small graphs")
     found = [m for m in range(1, graph.full_mask + 1) if _connected_mask(m, graph.adj)]
-    found.sort(key=lambda m: (_popcount(m), vertices_of(m)))
+    found.sort(key=_tube_sort_key)
     return tuple(found)
 
 
@@ -235,17 +231,6 @@ class Tubing:
     def _make(graph: Graph, masks: Iterable[int]) -> "Tubing":
         return Tubing(graph, tuple(sorted(masks, key=_tube_sort_key)))
 
-    @staticmethod
-    def _make_checked(graph: Graph, masks: list[int]) -> "Tubing":
-        """Construction with the cheap invariants only: n distinct tubes
-        including the full set; pairwise compatibility is not re-verified."""
-        if len(set(masks)) != graph.n or graph.full_mask not in masks:
-            raise ValueError("not a maximal tubing of the graph")
-        for m in masks:
-            if not graph.is_tube_mask(m):
-                raise ValueError("set is not a tube of the graph")
-        return Tubing._make(graph, masks)
-
     @property
     def n(self) -> int:
         return self.graph.n
@@ -287,7 +272,7 @@ class Tubing:
             if other != m and other & m == other:
                 inner |= other
         rest = m & ~inner
-        if _popcount(rest) != 1:  # cannot happen for a valid maximal tubing
+        if rest.bit_count() != 1:  # cannot happen for a valid maximal tubing
             raise AssertionError("tube has no unique least-nested vertex")
         return rest.bit_length()
 
@@ -317,9 +302,6 @@ def flip(graph: Graph, t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple
     vy = t.top(parent)
     replacement = _component(parent & ~_bit(vx), _bit(vy), graph.adj)
     others = [m for m in t.tube_masks if m != xm]
-    for m in others:
-        if not _compatible_masks(graph, replacement, m):  # guards the closed form
-            raise AssertionError("flip produced an incompatible tube")
     return Tubing._make(graph, others + [replacement]), vertices_of(replacement)
 
 
@@ -395,6 +377,14 @@ def graph_to_obj(graph: Graph) -> dict:
     return obj
 
 
+def parse_json(text: str):
+    """json.loads, reporting nesting too deep for the parser as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
+
+
 def _check_object(obj, what: str, *keys: str):
     if not isinstance(obj, dict) or not all(k in obj for k in keys):
         raise ValueError(f"{what} JSON must be an object with keys "
@@ -426,7 +416,10 @@ def tubing_to_json(t: Tubing) -> str:
 
 
 def tubing_from_json(text: str) -> Tubing:
-    obj = json.loads(text)
+    return tubing_from_obj(parse_json(text))
+
+
+def tubing_from_obj(obj: dict) -> Tubing:
     _check_object(obj, "tubing", "graph", "tubes")
     graph = graph_from_obj(obj["graph"])
     tubes = obj["tubes"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .graph_core import (Graph, Tubing, _bit, _check_object,
-                         _check_vertex_count, vertices_of)
+                         _check_vertex_count, parse_json, vertices_of)
 
 PATH_BST = "path-bst"
 CYCLE_CBT = "cycle-cbt"
@@ -172,7 +172,7 @@ def pair_statistics(g: GTree) -> PairStats:
 def gtree_of(graph: Graph, t: Tubing) -> GTree:
     """The tree encoding of a maximal tubing: parents follow tube nesting."""
     n = graph.n
-    parent: dict[int, int] = {}
+    parent = [0] * (n + 1)
     root = t.top(graph.full_mask)
     for v in range(1, n + 1):
         if v == root:
@@ -184,7 +184,7 @@ def gtree_of(graph: Graph, t: Tubing) -> GTree:
                 enclosing = m
                 break
         parent[v] = t.top(enclosing)
-    return GTree.of(n, root, parent)
+    return GTree(n, root, tuple(parent))
 
 
 def tubing_of(graph: Graph, g: GTree) -> Tubing:
@@ -194,13 +194,7 @@ def tubing_of(graph: Graph, g: GTree) -> Tubing:
     """
     if g.n != graph.n:
         raise ValueError("tree and graph disagree on the vertex count")
-    masks = []
-    for v in range(1, g.n + 1):
-        m = g.down_masks[v]
-        if not graph.is_tube_mask(m):
-            raise ValueError(f"down-set of {v} is not a tube of the graph")
-        masks.append(m)
-    return Tubing.of(graph, masks)
+    return Tubing.of(graph, g.down_masks[1:])
 
 
 # --- validation -------------------------------------------------------------
@@ -321,7 +315,10 @@ def gtree_to_json(g: GTree) -> str:
 
 
 def gtree_from_json(text: str) -> GTree:
-    obj = json.loads(text)
+    return gtree_from_obj(parse_json(text))
+
+
+def gtree_from_obj(obj: dict) -> GTree:
     _check_object(obj, "tree", "n", "root", "parent")
     n, root, parent = obj["n"], obj["root"], obj["parent"]
     if not (isinstance(n, int) and isinstance(root, int)

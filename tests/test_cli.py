@@ -203,6 +203,15 @@ def test_malformed_tree_json_exits_two(capsys, tmp_path, obj):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    for argv in (("order", "--a", str(deep), "--b", str(deep)),
+                 ("gtree", "--input", str(deep), "--graph", "cycle")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_ji_kappa_forcing_commands(capsys):
     code, out, _ = run(capsys, "ji", "--n", "7", "--i", "3", "--k", "1")
     assert code == 0

@@ -188,17 +188,23 @@ def test_fiber_size_counts_the_fiber_words():
 
 
 def test_cut_after_sew_is_identity_everywhere():
+    # cut and sew build their tubings unchecked; both must stay maximal
     import math
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         total = 0
         for x in tubings("path", n):
             left, right = tl.zippers(tl.gtree_of(x.graph, x))
             words = cl.fiber_words(x)
             assert len(words) == math.comb(len(left) + len(right), len(left))
             for w in words:
-                assert cl.cut(cl.sew(x, w)) == x
+                j = cl.sew(x, w)
+                assert tl.is_maximal_tubing(j.graph, j.tube_masks)
+                assert cl.cut(j) == x
             total += len(words)
         assert total == math.comb(2 * n - 2, n - 1)
+        for j in tubings("cycle", n):
+            x = cl.cut(j)
+            assert tl.is_maximal_tubing(x.graph, x.tube_masks)
 
 
 def test_sew_maps_down_sets_to_down_sets():

@@ -202,11 +202,17 @@ def test_enumeration_is_deterministic():
 
 
 def test_every_tubing_has_n_minus_one_flips():
-    for kind, n in (("path", 5), ("cycle", 5)):
-        g = graph(kind, n)
-        for t in tubings(kind, n):
+    # flip builds its result unchecked; every flip must stay maximal
+    kite = tl.custom_graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    cases = ([graph("path", n) for n in range(1, 8)]
+             + [graph("cycle", n) for n in range(3, 7)]
+             + [graph("complete", n) for n in range(1, 6)] + [kite])
+    for g in cases:
+        for t in tl.enumerate_maximal_tubings(g):
+            assert tl.is_maximal_tubing(g, t.tube_masks)
             nbrs = {t2.tube_masks for t2, _, _ in gc.iter_flip_neighbors(g, t)}
-            assert len(nbrs) == n - 1
+            assert len(nbrs) == g.n - 1
+            assert all(tl.is_maximal_tubing(g, m) for m in nbrs)
 
 
 def test_down_sets_and_top_bijection():

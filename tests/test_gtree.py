@@ -35,11 +35,16 @@ def test_gtree_of_nine_vertex_example():
 
 
 def test_tubing_of_inverts_gtree_of():
-    for kind, treekind, n in (("path", gt.PATH_BST, 5),
-                              ("cycle", gt.CYCLE_CBT, 5)):
+    # gtree_of builds its tree unchecked; GTree.of must accept the same table
+    cases = ([("path", gt.PATH_BST, n) for n in range(1, 7)]
+             + [("cycle", gt.CYCLE_CBT, n) for n in range(3, 7)])
+    for kind, treekind, n in cases:
         g = graph(kind, n)
         for t in tubings(kind, n):
             tree = tl.gtree_of(g, t)
+            parent = {v: tree.parent[v] for v in range(1, n + 1)
+                      if v != tree.root}
+            assert tree == gt.GTree.of(n, tree.root, parent)
             assert tl.validate(tree, treekind)
             assert tl.tubing_of(g, tree) == t
 

@@ -346,13 +346,21 @@ def test_forcing_arrows_match_the_order_on_irreducibles():
 
 
 def test_forcing_two_acyclicity_and_partial_orders():
-    for n in range(3, 11):
+    for n in range(3, 13):
         fs = la.forcing_system(n)
         for rel in (fs.arrows_onto, fs.arrows_into):
             assert all(a != b for a, b in rel)
             assert la.relation_acyclic(fs.universe, rel)
+            after = {}
+            for a, b in rel:
+                after.setdefault(a, set()).add(b)
+            for a, b in rel:  # transitive
+                assert after.get(b, set()) <= after[a]
         for a, b in fs.arrows_onto:
             assert (b, a) not in fs.arrows_into
+        # forcing_system returns the closed form; the definition must agree
+        assert la._forces_from_definition(
+            fs.universe, fs.arrows_onto, fs.arrows_into) == fs.arrows_force
 
 
 def test_congruence_uniformity():

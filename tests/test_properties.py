@@ -31,6 +31,8 @@ def test_join_and_meet_are_lattice_operations(pair):
     assert cl.join_cycle(j, meet) == j and cl.meet_cycle(j, join) == j
     assert cl.leq_cycle(j, join) and cl.leq_cycle(k, join)
     assert cl.leq_cycle(meet, j) and cl.leq_cycle(meet, k)
+    assert tl.is_maximal_tubing(j.graph, join.tube_masks)
+    assert tl.is_maximal_tubing(j.graph, meet.tube_masks)
 
 
 @LAWS
@@ -52,6 +54,19 @@ def test_cut_is_a_lattice_map(pair):
     j, k = pair
     assert cl.cut(cl.join_cycle(j, k)) == cl.join_path(cl.cut(j), cl.cut(k))
     assert cl.cut(cl.meet_cycle(j, k)) == cl.meet_path(cl.cut(j), cl.cut(k))
+
+
+@LAWS
+@given(cycle_pairs())
+def test_lift_is_the_least_fiber_element_above(pair):
+    j, k = pair
+    x = cl.join_path(cl.cut(j), cl.cut(k))
+    up = cl.lift(j, x)
+    assert tl.is_maximal_tubing(up.graph, up.tube_masks)
+    assert cl.cut(up) == x
+    assert cl.leq_cycle(j, up)
+    assert cl.lift(j, cl.cut(j)) == j
+    assert cl.leq_cycle(up, cl.join_cycle(j, k))
 
 
 @LAWS
