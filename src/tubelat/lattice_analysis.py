@@ -1,8 +1,11 @@
 """Finite poset oracle and the structural theory of the cycle tubing lattice.
 
 The FinitePoset type is a brute-force oracle: it stores an explicit element
-list with cover relations and a reachability matrix, and computes joins,
-meets, and the Moebius function directly from the definitions. The
+list with cover relations and a reachability matrix. Its join and meet
+tables come from one up-set lookup (a and b have a least upper bound z
+exactly when up[z] == up[a] & up[b]); minimal_upper_bounds, brute_join and
+their duals stay as the reference definitions the tests hold the tables
+to. The Moebius function comes from the zeta recursion. The
 remaining functions build the structural apparatus of the cycle lattice:
 the grid of join irreducibles j(i, k), the kappa map onto meet
 irreducibles, the onto/into/forcing relations on join irreducibles, the
@@ -120,15 +123,15 @@ class FinitePoset:
 
     @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
-        """join_table[a][b] is the join index, or -1 when it does not exist."""
-        n = len(self)
-        table = [[-1] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                j = brute_join(self, a, b)
-                v = -1 if j is None else j
-                table[a][b] = table[b][a] = v
-        return tuple(tuple(r) for r in table)
+        """join_table[a][b] is the join index, or -1 when it does not exist.
+
+        z is the least upper bound of a and b exactly when its up-set is
+        the set of common upper bounds, up[z] == up[a] & up[b]; up-sets
+        of distinct elements differ, so one dict lookup finds z.
+        """
+        at = {m: i for i, m in enumerate(self.up)}.get
+        up = self.up
+        return tuple(tuple([at(ua & ub, -1) for ub in up]) for ua in up)
 
     @cached_property
     def dual(self) -> "FinitePoset":
@@ -199,18 +202,24 @@ def is_lattice(p: FinitePoset) -> bool:
 
 
 def lattice_failure(p: FinitePoset) -> dict | None:
-    """A witness pair with several minimal upper or maximal lower bounds."""
-    n = len(p)
-    for a in range(n):
-        for b in range(a + 1, n):
-            mubs = minimal_upper_bounds(p, a, b)
-            if len(mubs) != 1:
-                return {"pair": [p.keys[a], p.keys[b]],
+    """A witness pair with several minimal upper or maximal lower bounds.
+
+    The pair is the first a < b in row-major order without a join or a
+    meet, the join checked first.
+    """
+    for a, (jrow, mrow) in enumerate(zip(p.join_table, p.meet_table)):
+        # both tables are symmetric, so a -1 left of the diagonal would
+        # already have been found in an earlier row
+        if -1 in jrow or -1 in mrow:
+            b = min(row.index(-1) for row in (jrow, mrow) if -1 in row)
+            pair = [p.keys[a], p.keys[b]]
+            if jrow[b] == -1:
+                mubs = minimal_upper_bounds(p, a, b)
+                return {"pair": pair,
                         "minimal_upper_bounds": [p.keys[z] for z in mubs]}
             mlbs = maximal_lower_bounds(p, a, b)
-            if len(mlbs) != 1:
-                return {"pair": [p.keys[a], p.keys[b]],
-                        "maximal_lower_bounds": [p.keys[z] for z in mlbs]}
+            return {"pair": pair,
+                    "maximal_lower_bounds": [p.keys[z] for z in mlbs]}
     return None
 
 
@@ -427,12 +436,36 @@ def check_congruence_uniform(n: int) -> bool:
     return relation_acyclic(fs.universe, fs.arrows_force)
 
 
+def _classes_closed(by, fold) -> bool:
+    """True when, for every x and m, {y : by[x][y] == m} is closed under fold.
+
+    A class is closed exactly when the fold of all its members stays in
+    it, so each row costs one pass.
+    """
+    for row in by:
+        acc = {}
+        for y, m in enumerate(row):
+            z = acc.get(m)
+            acc[m] = y if z is None else fold[z][y]
+        if any(row[z] != m for m, z in acc.items()):
+            return False
+    return True
+
+
 def semidistributivity_witness(p: FinitePoset) -> dict | None:
-    """A triple violating one of the two semidistributive laws, if any."""
+    """A triple violating one of the two semidistributive laws, if any.
+
+    The meet law says that {y : x meet y = m} is closed under joins for
+    every x and m, the join law dually; that decides both in O(N^2)
+    table lookups. Only a violated law pays for the triple scan, which
+    returns the first violating triple in (x, y, z) order.
+    """
     if not is_lattice(p):
         raise ValueError("semidistributivity is only defined for lattices")
     join = p.join_table
     meet = p.meet_table
+    if _classes_closed(meet, join) and _classes_closed(join, meet):
+        return None
     n = len(p)
     for x in range(n):
         mrow = meet[x]

@@ -245,6 +245,10 @@ def test_verify_selectors(capsys):
     assert code == 0
     code, _, err = run(capsys, "verify", "--selector", "sdl", "--n", "9")
     assert code == 3 and "cap" in err
+    code, out, _ = run(capsys, "verify", "--selector", "sdl", "--n", "6")
+    assert code == 0 and out == ("PASS sdl (n=6)\n  sdl: both "
+                                 "semidistributive laws hold on all triples "
+                                 "(n=6)\n")
 
 
 def test_verify_all_runs_every_suite(capsys):

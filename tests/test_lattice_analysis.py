@@ -66,6 +66,60 @@ def two_tops():
         ["0", "a", "b", "x", "y"], [(1, 2), (3, 4), (3, 4), (), ()])
 
 
+def vee():
+    # a and b are both maximal: no common upper bound at all
+    return la.FinitePoset.from_covers(["0", "a", "b"], [(1, 2), (), ()])
+
+
+def pentagon():
+    # N5: 0 < a < c < 1 and 0 < b < 1; semidistributive, not modular
+    return la.FinitePoset.from_covers(
+        ["0", "a", "b", "c", "1"], [(1, 2), (3,), (4,), (4,), ()])
+
+
+def meet_sd_only():
+    # the meet law holds; the join law fails: c v d = c v e = 1, c v b = c
+    return la.FinitePoset.from_covers(
+        ["0", "a", "b", "c", "d", "e", "1"],
+        [(1, 2), (3, 5), (3, 4), (6,), (6,), (6,), ()])
+
+
+def bound_scan_failure(p):
+    """The first pair a < b without a unique minimal upper or maximal lower
+    bound, by scanning the bounds of every pair."""
+    for a in range(len(p)):
+        for b in range(a + 1, len(p)):
+            for name, bounds in (("minimal_upper_bounds",
+                                  la.minimal_upper_bounds(p, a, b)),
+                                 ("maximal_lower_bounds",
+                                  la.maximal_lower_bounds(p, a, b))):
+                if len(bounds) != 1:
+                    return {"pair": [p.keys[a], p.keys[b]],
+                            name: [p.keys[z] for z in bounds]}
+    return None
+
+
+def test_tables_match_the_bound_definitions():
+    posets = [poset(kind, n) for kind in ("path", "cycle") for n in (3, 4, 5)]
+    for p in posets + [diamond(), two_tops(), vee()]:
+        for a in range(len(p)):
+            for b in range(len(p)):
+                mubs = la.minimal_upper_bounds(p, a, b)
+                want = mubs[0] if len(mubs) == 1 else -1
+                assert p.join_table[a][b] == want
+                mlbs = la.maximal_lower_bounds(p, a, b)
+                want = mlbs[0] if len(mlbs) == 1 else -1
+                assert p.meet_table[a][b] == want
+
+
+def test_lattice_failure_matches_the_bound_scan():
+    for p in (two_tops(), two_tops().dual, vee(), vee().dual):
+        want = bound_scan_failure(p)
+        assert want is not None and la.lattice_failure(p) == want
+    assert "maximal_lower_bounds" in la.lattice_failure(two_tops().dual)
+    assert la.lattice_failure(vee())["minimal_upper_bounds"] == []
+
+
 def test_brute_join_and_failure_reporting():
     p = poset("cycle", 4)
     lo = p.minimum()
@@ -286,8 +340,38 @@ def test_semidistributive_counterexamples():
 
 
 def test_cycle_lattices_are_semidistributive():
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         assert la.check_semidistributive(poset("cycle", n))
+
+
+def triple_scan_witness(p):
+    """The first (x, y, z) violating a semidistributive law, by brute force."""
+    join, meet, n = p.join_table, p.meet_table, len(p)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                triple = [p.keys[x], p.keys[y], p.keys[z]]
+                if (meet[x][z] == meet[x][y]
+                        and meet[x][join[y][z]] != meet[x][y]):
+                    return {"law": "meet", "triple": triple}
+                if (join[x][z] == join[x][y]
+                        and join[x][meet[y][z]] != join[x][y]):
+                    return {"law": "join", "triple": triple}
+    return None
+
+
+def test_semidistributivity_matches_the_triple_scan():
+    lattices = [poset(kind, n) for kind in ("path", "cycle")
+                for n in (3, 4, 5)]
+    for p in lattices + [diamond(), boolean_square(), pentagon(),
+                         meet_sd_only(), meet_sd_only().dual]:
+        want = triple_scan_witness(p)
+        assert la.semidistributivity_witness(p) == want
+        assert la.check_semidistributive(p) == (want is None)
+    assert triple_scan_witness(pentagon()) is None
+    assert triple_scan_witness(diamond()) is not None
+    assert triple_scan_witness(meet_sd_only())["law"] == "join"
+    assert triple_scan_witness(meet_sd_only().dual)["law"] == "meet"
 
 
 def test_semidistributivity_matches_kappa_existence():
