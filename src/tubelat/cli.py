@@ -40,14 +40,6 @@ def _load_tubing(path: str) -> gc.Tubing:
         return gc.tubing_from_json(fh.read())
 
 
-def _write(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 @lru_cache(maxsize=None)
 def _poset(kind: str, n: int) -> la.FinitePoset:
     return la.build_poset(gc.make_graph(kind, n))
@@ -273,11 +265,13 @@ def verify_ji(n: int):
 def verify_selfdual(n: int):
     graph = gc.make_graph(gc.CYCLE, n)
     elems = gc.enumerate_maximal_tubings(graph)
-    keyset = {t.tube_masks for t in elems}
+    index = {t.tube_masks: i for i, t in enumerate(elems)}
+    rev = []  # rev[a] indexes the reversal of elems[a]
     for t in elems:
         r = gc.relabel_reverse(t)
-        if r.tube_masks not in keyset or gc.relabel_reverse(r) != t:
+        if r.tube_masks not in index or gc.relabel_reverse(r) != t:
             return False, [], {"not_involution": t.key()}
+        rev.append(index[r.tube_masks])
     for t in elems:
         for t2, old_top, new_top in gc.iter_flip_neighbors(graph, t):
             if old_top < new_top:
@@ -288,12 +282,13 @@ def verify_selfdual(n: int):
     lines = [f"selfdual: reversal is an involution and reverses every cover "
              f"(n={n})"]
     if n <= 6:
-        for a in elems:
-            for b in elems:
-                if cl.leq_cycle(a, b) != cl.leq_cycle(gc.relabel_reverse(b),
-                                                      gc.relabel_reverse(a)):
-                    return False, [], {"order_not_reversed": [a.key(),
-                                                              b.key()]}
+        # p indexes elems in order; verify_order holds leq_cycle to p.leq
+        p = _poset(gc.CYCLE, n)
+        for a in range(len(p)):
+            for b in range(len(p)):
+                if p.leq(a, b) != p.leq(rev[b], rev[a]):
+                    return False, [], {"order_not_reversed": [p.keys[a],
+                                                              p.keys[b]]}
         lines.append(f"selfdual: full order reversal checked on all pairs "
                      f"(n={n})")
     return True, lines, None

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .graph_core import (CYCLE, PATH, Graph, Tubing, make_graph,
                          relabel_reverse)
-from .gtree import gtree_of, inversion_masks, pair_mask_universe, zippers
+from .gtree import _zipper_chains, gtree_of, inversion_masks
 
 
 def _require(t: Tubing, kind: str):
@@ -75,15 +75,15 @@ def _path_tubing(graph: Graph, r: list[int]) -> Tubing:
 
 
 def leq_cycle(j: Tubing, k: Tubing) -> bool:
-    """Order test for cycle tubings: inv(j) inside inv(k) union inc(k)."""
+    """Order test for cycle tubings: inv(j) inside inv(k) union inc(k).
+
+    inv, coinv and inc partition the pairs, so inv(k) union inc(k) is the
+    complement of coinv(k).
+    """
     _require(j, CYCLE)
     _require(k, CYCLE)
     _same_n(j, k)
-    ij, _ = inversion_masks(gtree_of(j.graph, j))
-    ik, ck = inversion_masks(gtree_of(k.graph, k))
-    universe = pair_mask_universe(j.n)
-    allowed = ik | (universe & ~(ik | ck))
-    return ij & ~allowed == 0
+    return inversion_masks(j)[0] & inversion_masks(k)[1] == 0
 
 
 # --- the cut map ------------------------------------------------------------
@@ -129,7 +129,7 @@ class ShuffleWord:
     def of(base: Tubing, word) -> "ShuffleWord":
         _require(base, PATH)
         w = tuple(int(v) for v in word)
-        left, right = zippers(gtree_of(base.graph, base))
+        left, right = _zipper_chains(base)
         if sorted(w) != sorted(left + right):
             raise ValueError("word is not a permutation of the zipper vertices")
         if tuple(v for v in w if v in set(left)) != left:
@@ -187,7 +187,7 @@ def word_of(j: Tubing) -> ShuffleWord:
 
 
 def _word_over(j: Tubing, x: Tubing) -> ShuffleWord:
-    left, right = zippers(gtree_of(x.graph, x))
+    left, right = _zipper_chains(x)
     letters = sorted(left + right, key=lambda v: j.down(v).bit_count())
     return ShuffleWord(x, tuple(letters))
 
@@ -195,7 +195,7 @@ def _word_over(j: Tubing, x: Tubing) -> ShuffleWord:
 def fiber_words(x: Tubing) -> tuple[ShuffleWord, ...]:
     """All in-order shuffles of the zippers of x, in lexicographic order."""
     _require(x, PATH)
-    left, right = zippers(gtree_of(x.graph, x))
+    left, right = _zipper_chains(x)
     l, r = len(left), len(right)
     out = []
     for apos in combinations(range(l + r), l):
@@ -212,7 +212,7 @@ def fiber_words(x: Tubing) -> tuple[ShuffleWord, ...]:
 def fiber_size(x: Tubing) -> int:
     """The number of in-order shuffles of the zippers of x, without listing them."""
     _require(x, PATH)
-    left, right = zippers(gtree_of(x.graph, x))
+    left, right = _zipper_chains(x)
     return math.comb(len(left) + len(right), len(left))
 
 
@@ -282,38 +282,20 @@ def lift(j: Tubing, x: Tubing) -> Tubing:
 
 # --- joins and meets --------------------------------------------------------
 
-def _crossing_counts(w: ShuffleWord) -> tuple[int, ...]:
-    """For each left-zipper letter, how many right letters precede it."""
-    left, _ = zippers(gtree_of(w.base.graph, w.base))
-    leftset = set(left)
-    counts = []
-    seen_right = 0
-    for v in w.word:
-        if v in leftset:
-            counts.append(seen_right)
-        else:
-            seen_right += 1
-    return tuple(counts)
-
-
-def _word_from_counts(x: Tubing, counts: tuple[int, ...]) -> ShuffleWord:
-    left, right = zippers(gtree_of(x.graph, x))
-    word = []
-    ri = 0
-    for ai, a in enumerate(left):
-        while ri < counts[ai]:
-            word.append(right[ri])
-            ri += 1
-        word.append(a)
-    word.extend(right[ri:])
-    return ShuffleWord(x, tuple(word))
-
-
 def _shuffle_bound(x: Tubing, w1: ShuffleWord, w2: ShuffleWord, pick):
+    """The word whose crossing counts are pick of those of w1 and w2.
+
+    Left letter i sits at i plus its crossing count, so inserting the left
+    letters in chain order at pick of their positions among the right
+    letters builds the word.
+    """
     if w1.base != x or w2.base != x:
         raise ValueError("shuffle words must share the base tubing")
-    c1, c2 = _crossing_counts(w1), _crossing_counts(w2)
-    return _word_from_counts(x, tuple(pick(a, b) for a, b in zip(c1, c2)))
+    left, right = _zipper_chains(x)
+    word = list(right)
+    for a in left:
+        word.insert(pick(w1.word.index(a), w2.word.index(a)), a)
+    return ShuffleWord(x, tuple(word))
 
 
 def shuffle_join(x: Tubing, w1: ShuffleWord, w2: ShuffleWord) -> ShuffleWord:

@@ -244,7 +244,8 @@ class Tubing:
         return json.dumps([list(t) for t in self.tubes()], separators=(",", ":"))
 
     @cached_property
-    def _down_by_vertex(self) -> tuple[int, ...]:
+    def down_masks(self) -> tuple[int, ...]:
+        """down_masks[v] is the smallest tube containing v, as GTree.down_masks."""
         down = [0] * (self.n + 1)
         for v in range(1, self.n + 1):
             vb = _bit(v)
@@ -260,7 +261,7 @@ class Tubing:
         """Mask of the smallest tube containing vertex x."""
         if not 1 <= x <= self.n:
             raise ValueError(f"vertex {x} out of range")
-        return self._down_by_vertex[x]
+        return self.down_masks[x]
 
     def top(self, tube: Iterable[int] | int) -> int:
         """The unique vertex whose smallest tube is the given tube."""

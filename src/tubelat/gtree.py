@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .graph_core import (Graph, Tubing, _bit, _check_object,
                          _check_vertex_count, parse_json, vertices_of)
@@ -100,21 +100,18 @@ def _pair_index(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + (i - 1)
 
 
-def pair_mask_universe(n: int) -> int:
-    return (1 << (n * (n - 1) // 2)) - 1
+def inversion_masks(x: GTree | Tubing) -> tuple[int, int]:
+    """Bit masks of the inversion and coinversion pair sets of a tree order.
 
-
-@lru_cache(maxsize=None)
-def inversion_masks(g: GTree) -> tuple[int, int]:
-    """Bit masks of the inversion and coinversion pair sets of g.
-
-    Pair (i, j) with i < j is an inversion when j is below i, and a
-    coinversion when i is below j; the remaining pairs are incomparable.
+    x is a tree or a tubing, read through its down_masks. Pair (i, j) with
+    i < j is an inversion when j is below i, and a coinversion when i is
+    below j; the remaining pairs are incomparable.
     """
+    down = x.down_masks
     inv = 0
     coinv = 0
-    for v in range(1, g.n + 1):
-        m = g.down_masks[v] & ~_bit(v)
+    for v in range(1, x.n + 1):
+        m = down[v] & ~_bit(v)
         while m:
             low = m & -m
             u = low.bit_length()
@@ -168,7 +165,6 @@ def pair_statistics(g: GTree) -> PairStats:
 
 # --- conversions ------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def gtree_of(graph: Graph, t: Tubing) -> GTree:
     """The tree encoding of a maximal tubing: parents follow tube nesting."""
     n = graph.n
@@ -284,7 +280,6 @@ def tree_move(g: GTree, x: int, kind: str) -> GTree:
     return GTree(g.n, root, tuple(table))
 
 
-@lru_cache(maxsize=None)
 def zippers(g: GTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The saturated chains from 1 and from n up to the children of the root.
 
@@ -293,16 +288,20 @@ def zippers(g: GTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if not validate(g, PATH_BST):
         raise ValueError("zippers are only defined for path search trees")
+    return _zipper_chains(g)
 
-    def chain_up(v: int) -> tuple[int, ...]:
-        out = []
-        while v != g.root:
-            out.append(v)
-            v = g.parent[v]
-        return tuple(out)
 
-    left = chain_up(1) if g.root != 1 else ()
-    right = chain_up(g.n) if g.root != g.n else ()
+def _zipper_chains(x: GTree | Tubing) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The zippers of a path search tree or path tubing, from its down masks.
+
+    They are the non-root vertices whose down-set holds 1 (left, rising) or
+    n (right, falling), so vertex order is chain order.
+    """
+    down, n = x.down_masks, x.n
+    full = (1 << n) - 1
+    left = tuple(v for v in range(1, n + 1) if down[v] & 1 and down[v] != full)
+    right = tuple(v for v in range(n, 0, -1)
+                  if down[v] >> (n - 1) and down[v] != full)
     return left, right
 
 

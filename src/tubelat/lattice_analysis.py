@@ -226,14 +226,13 @@ def lattice_failure(p: FinitePoset) -> dict | None:
 def mobius(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
     """The Moebius matrix, by the zeta recursion with exact integers."""
     n = len(p)
-    ext = sorted(range(n), key=lambda i: p.down[i].bit_count())
+    size = [d.bit_count() for d in p.down]
     rows = [[0] * n for _ in range(n)]
     for a in range(n):
         row = rows[a]
         row[a] = 1
-        for b in ext:
-            if b == a or not p.leq(a, b):
-                continue
+        # by down-set size, so the interval below b is filled in first
+        for b in sorted(_bits(p.up[a] & ~(1 << a)), key=size.__getitem__):
             interval = p.up[a] & p.down[b] & ~(1 << b)
             row[b] = -sum(row[z] for z in _bits(interval))
     return tuple(tuple(r) for r in rows)
@@ -404,29 +403,14 @@ def forcing_system(n: int) -> ForcingSystem:
 def relation_acyclic(universe, arrows) -> bool:
     """True when the arrow set has no directed cycle."""
     universe = tuple(universe)
-    succ = {x: [] for x in universe}
+    pos = {x: i for i, x in enumerate(universe)}
+    succ: list[list[int]] = [[] for _ in universe]
     for a, b in arrows:
-        succ[a].append(b)
-    state = {x: 0 for x in universe}  # 0 fresh, 1 on stack, 2 done
-    for start in universe:
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return False
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
+        succ[pos[a]].append(pos[b])
+    try:  # the topological pass of from_covers rejects a cycle
+        FinitePoset.from_covers(universe, succ)
+    except ValueError:
+        return False
     return True
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +257,13 @@ def test_verify_all_runs_every_suite(capsys):
     assert code == 0
     for selector in cli.SELECTORS:
         assert f"PASS {selector}" in out
+
+
+def test_verify_all_n5_stdout_is_pinned(capsys):
+    pinned = (Path(__file__).parent.parent / "perfbench" / "expected"
+              / "verify_all_n5.stdout").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--selector", "all", "--n", "5")
+    assert code == 0 and out == pinned
 
 
 def test_commands_are_deterministic(capsys):

@@ -341,26 +341,20 @@ def test_shuffle_join_examples():
 
 
 def test_shuffle_join_and_meet_match_the_fiber_order():
-    for x in tubings("path", 5):
-        words = cl.fiber_words(x)
-        elems = {w: cl.sew(x, w) for w in words}
-        for w1 in words:
-            for w2 in words:
-                jw = cl.shuffle_join(x, w1, w2)
-                ubs = [w for w in words
-                       if cl.leq_cycle(elems[w1], elems[w])
-                       and cl.leq_cycle(elems[w2], elems[w])]
-                least = [w for w in ubs
-                         if all(cl.leq_cycle(elems[w], elems[o]) for o in ubs)]
-                assert least == [jw]
-                mw = cl.shuffle_meet(x, w1, w2)
-                lbs = [w for w in words
-                       if cl.leq_cycle(elems[w], elems[w1])
-                       and cl.leq_cycle(elems[w], elems[w2])]
-                greatest = [w for w in lbs
-                            if all(cl.leq_cycle(elems[o], elems[w])
-                                   for o in lbs)]
-                assert greatest == [mw]
+    for n in (4, 5, 6):
+        for x in tubings("path", n):
+            words = cl.fiber_words(x)
+            elems = {w: cl.sew(x, w) for w in words}
+            le = {(w, o): cl.leq_cycle(elems[w], elems[o])
+                  for w in words for o in words}
+            for w1 in words:
+                for w2 in words:
+                    ubs = [w for w in words if le[w1, w] and le[w2, w]]
+                    least = [w for w in ubs if all(le[w, o] for o in ubs)]
+                    assert least == [cl.shuffle_join(x, w1, w2)]
+                    lbs = [w for w in words if le[w, w1] and le[w, w2]]
+                    greatest = [w for w in lbs if all(le[o, w] for o in lbs)]
+                    assert greatest == [cl.shuffle_meet(x, w1, w2)]
 
 
 # --- joins and meets --------------------------------------------------------------
