@@ -294,6 +294,16 @@ def flip(graph: Graph, t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple
         raise ValueError("tube to flip is not in the tubing")
     if xm == graph.full_mask:
         raise ValueError("the full tube cannot be flipped")
+    t2, replacement, _, _ = _flip(graph, t, xm)
+    return t2, vertices_of(replacement)
+
+
+def _flip(graph: Graph, t: Tubing, xm: int) -> tuple[Tubing, int, int, int]:
+    """flip on a tube mask, unchecked: (tubing, replacement, top(x), top(Y)).
+
+    top(Y), the top of the tube Y just above x, lies in no tube below Y,
+    so it is also the top of the replacement in the new tubing.
+    """
     parent = 0
     for m in t.tube_masks:
         if m != xm and m & xm == xm:
@@ -303,7 +313,7 @@ def flip(graph: Graph, t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple
     vy = t.top(parent)
     replacement = _component(parent & ~_bit(vx), _bit(vy), graph.adj)
     others = [m for m in t.tube_masks if m != xm]
-    return Tubing._make(graph, others + [replacement]), vertices_of(replacement)
+    return Tubing._make(graph, others + [replacement]), replacement, vx, vy
 
 
 def covers(graph: Graph, a: Tubing, b: Tubing) -> bool:
@@ -361,7 +371,7 @@ def enumerate_maximal_tubings(graph: Graph) -> tuple[Tubing, ...]:
             for m in t.tube_masks:
                 if m == graph.full_mask:
                     continue
-                t2, _ = flip(graph, t, m)
+                t2 = _flip(graph, t, m)[0]
                 if t2.tube_masks not in seen:
                     seen.add(t2.tube_masks)
                     nxt.append(t2)
@@ -434,5 +444,5 @@ def iter_flip_neighbors(graph: Graph, t: Tubing) -> Iterator[tuple[Tubing, int, 
     for m in t.tube_masks:
         if m == graph.full_mask:
             continue
-        t2, repl = flip(graph, t, m)
-        yield t2, t.top(m), t2.top(mask_of(repl))
+        t2, _, old_top, new_top = _flip(graph, t, m)
+        yield t2, old_top, new_top

@@ -5,11 +5,11 @@ list with cover relations and a reachability matrix. Its join and meet
 tables come from one up-set lookup (a and b have a least upper bound z
 exactly when up[z] == up[a] & up[b]); minimal_upper_bounds, brute_join and
 their duals stay as the reference definitions the tests hold the tables
-to. The Moebius function comes from the zeta recursion. The
-remaining functions build the structural apparatus of the cycle lattice:
-the grid of join irreducibles j(i, k), the kappa map onto meet
-irreducibles, the onto/into/forcing relations on join irreducibles, the
-semidistributivity and congruence-uniformity checks, and the
+to. The Moebius function comes from Rota's crosscut theorem over the join
+table. The remaining functions build the structural apparatus of the
+cycle lattice: the grid of join irreducibles j(i, k), the kappa map onto
+meet irreducibles, the onto/into/forcing relations on join irreducibles,
+the semidistributivity and congruence-uniformity checks, and the
 reconstruction of the lattice from maximal orthogonal pairs.
 """
 
@@ -127,11 +127,17 @@ class FinitePoset:
 
         z is the least upper bound of a and b exactly when its up-set is
         the set of common upper bounds, up[z] == up[a] & up[b]; up-sets
-        of distinct elements differ, so one dict lookup finds z.
+        of distinct elements differ, so one dict lookup finds z. The
+        table is symmetric: row a copies column a of the rows before it
+        and looks up only the entries with b >= a.
         """
         at = {m: i for i, m in enumerate(self.up)}.get
         up = self.up
-        return tuple(tuple([at(ua & ub, -1) for ub in up]) for ua in up)
+        rows: list[tuple[int, ...]] = []
+        for a, ua in enumerate(up):
+            rows.append(tuple([r[a] for r in rows]
+                              + [at(ua & ub, -1) for ub in up[a:]]))
+        return tuple(rows)
 
     @cached_property
     def dual(self) -> "FinitePoset":
@@ -224,18 +230,29 @@ def lattice_failure(p: FinitePoset) -> dict | None:
 
 
 def mobius(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """The Moebius matrix, by the zeta recursion with exact integers."""
+    """The Moebius matrix, by Rota's crosscut theorem with exact integers.
+
+    In a finite lattice mu(a, b) is the sum of (-1)^|S| over the sets S of
+    upper covers of a whose join is b. Row a folds the covers in one at a
+    time: joins[i] is the join of the i-th subset and signs[i] its sign.
+    The theorem needs each interval [a, b] to be a lattice; that holds
+    once every pair has a join, so a -1 in the join table is refused.
+    """
+    join = p.join_table
+    if any(-1 in row for row in join):
+        raise ValueError("the Moebius matrix needs a join for every pair")
     n = len(p)
-    size = [d.bit_count() for d in p.down]
-    rows = [[0] * n for _ in range(n)]
+    rows = []
     for a in range(n):
-        row = rows[a]
-        row[a] = 1
-        # by down-set size, so the interval below b is filled in first
-        for b in sorted(_bits(p.up[a] & ~(1 << a)), key=size.__getitem__):
-            interval = p.up[a] & p.down[b] & ~(1 << b)
-            row[b] = -sum(row[z] for z in _bits(interval))
-    return tuple(tuple(r) for r in rows)
+        joins, signs = [a], [1]
+        for c in p.covers_up[a]:
+            joins += [join[x][c] for x in joins]
+            signs += [-s for s in signs]
+        row = [0] * n
+        for z, s in zip(joins, signs):
+            row[z] += s
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def join_irreducibles(p: FinitePoset) -> tuple[int, ...]:

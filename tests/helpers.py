@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths they check:
 flip replacements are found by exhaustive search over all tubes, maximality
-by literal extension search, and order relations by breadth-first closure
-of the cover predicate evaluated on every ordered pair.
+by literal extension search, order relations by breadth-first closure of
+the cover predicate evaluated on every ordered pair, and the Moebius
+function by the zeta recursion.
 """
 
 import json
@@ -47,6 +48,25 @@ def oracle_flip_replacements(g, t, xmask):
         if y != xmask and tl.is_maximal_tubing(g, rest + [y]):
             out.append(y)
     return out
+
+
+def oracle_mobius(p):
+    """The Moebius matrix by the zeta recursion, on any finite poset.
+
+    mu(a, a) = 1 and mu(a, b) = -sum of mu(a, z) over a <= z < b; each row
+    fills b in order of down-set size, so the interval below b comes first.
+    """
+    n = len(p)
+    size = [d.bit_count() for d in p.down]
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        row = rows[a]
+        row[a] = 1
+        above = [b for b in range(n) if b != a and p.leq(a, b)]
+        for b in sorted(above, key=size.__getitem__):
+            interval = p.up[a] & p.down[b] & ~(1 << b)
+            row[b] = -sum(row[z] for z in range(n) if interval >> z & 1)
+    return tuple(tuple(r) for r in rows)
 
 
 def oracle_is_maximal(g, masks):

@@ -252,6 +252,14 @@ def test_verify_selectors(capsys):
                                  "(n=6)\n")
 
 
+def test_verify_mobius_cap(capsys):
+    code, out, _ = run(capsys, "verify", "--selector", "mobius", "--n", "7")
+    assert code == 0 and out == ("PASS mobius (n=7)\n  mobius: all values "
+                                 "lie in -1..1 on 924 elements (n=7)\n")
+    code, _, err = run(capsys, "verify", "--selector", "mobius", "--n", "8")
+    assert code == 3 and "cap" in err
+
+
 def test_verify_all_runs_every_suite(capsys):
     code, out, _ = run(capsys, "verify", "--selector", "all", "--n", "3")
     assert code == 0

@@ -134,6 +134,9 @@ def test_flip_matches_replacement_search():
                     continue
                 _, repl = tl.flip(g, t, m)
                 assert oracle_flip_replacements(g, t, m) == [gc.mask_of(repl)]
+            for t2, _, new_top in gc.iter_flip_neighbors(g, t):
+                (replacement,) = set(t2.tube_masks) - set(t.tube_masks)
+                assert new_top == t2.top(replacement)
 
 
 def test_covers():

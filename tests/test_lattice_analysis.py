@@ -6,7 +6,7 @@ import tubelat as tl
 from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
-from helpers import graph, poset, tubings
+from helpers import graph, oracle_mobius, poset, tubings
 
 
 def ji_tubing(n, i, k):
@@ -82,6 +82,12 @@ def meet_sd_only():
     return la.FinitePoset.from_covers(
         ["0", "a", "b", "c", "d", "e", "1"],
         [(1, 2), (3, 5), (3, 4), (6,), (6,), (6,), ()])
+
+
+def two_minima():
+    # a join-semilattice that is not a lattice: the minima a and b have no meet
+    return la.FinitePoset.from_covers(
+        ["a", "b", "x", "y", "1"], [(2, 3), (2,), (4,), (4,), ()])
 
 
 def bound_scan_failure(p):
@@ -167,6 +173,24 @@ def test_mobius_rows_sum_to_zero_on_intervals():
                 total = sum(matrix[a][z] for z in range(len(p))
                             if p.leq(a, z) and p.leq(z, b))
                 assert total == 0
+
+
+def test_mobius_matches_the_zeta_recursion():
+    posets = ([poset("cycle", n) for n in range(3, 7)]
+              + [poset("path", n) for n in range(1, 7)]
+              + [poset("complete", n) for n in range(1, 6)]
+              + [diamond(), pentagon(), meet_sd_only(), boolean_square(),
+                 two_minima()])
+    for p in posets:
+        assert la.mobius(p) == oracle_mobius(p)
+    # M3: the three pairs of atoms and all three atoms each join to 1
+    assert la.mobius(diamond())[0][4] == 2
+
+
+def test_mobius_needs_every_join():
+    for p in (two_tops(), vee()):
+        with pytest.raises(ValueError):
+            la.mobius(p)
 
 
 def test_mobius_values_small():
