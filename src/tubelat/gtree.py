@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graph_core import (Graph, Tubing, _bit, _check_object,
-                         _check_vertex_count, parse_json, vertices_of)
+                         _check_vertex_count, _is_int, parse_json, vertices_of)
 
 PATH_BST = "path-bst"
 CYCLE_CBT = "cycle-cbt"
@@ -320,9 +320,8 @@ def gtree_from_json(text: str) -> GTree:
 def gtree_from_obj(obj: dict) -> GTree:
     _check_object(obj, "tree", "n", "root", "parent")
     n, root, parent = obj["n"], obj["root"], obj["parent"]
-    if not (isinstance(n, int) and isinstance(root, int)
-            and isinstance(parent, dict)
-            and all(isinstance(v, int) for v in parent.values())):
+    if not (_is_int(n) and _is_int(root) and isinstance(parent, dict)
+            and all(_is_int(v) for v in parent.values())):
         raise ValueError("tree JSON needs integer n and root and a parent "
                          "object mapping vertices to integers")
     return GTree.of(n, root, parent)

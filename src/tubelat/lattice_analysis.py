@@ -511,16 +511,6 @@ def _orthogonal_closure(fs: ForcingSystem):
     return closure
 
 
-def orthogonal_pair(fs: ForcingSystem, members: frozenset[JiIndex]):
-    """The pair (closure of members, its orthogonal complement)."""
-    universe = fs.universe
-    closed, perp = _orthogonal_closure(fs)(
-        sum(1 << b for b, x in enumerate(universe) if x in members))
-    left = frozenset(universe[b] for b in _bits(closed))
-    right = frozenset(universe[b] for b in _bits(perp))
-    return left, right
-
-
 def pairs_lattice(n: int) -> FinitePoset:
     """The poset of maximal orthogonal pairs of the forcing relation.
 

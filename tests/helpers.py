@@ -7,6 +7,7 @@ the cover predicate evaluated on every ordered pair, and the Moebius
 function by the zeta recursion.
 """
 
+import itertools
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -48,6 +49,55 @@ def oracle_flip_replacements(g, t, xmask):
         if y != xmask and tl.is_maximal_tubing(g, rest + [y]):
             out.append(y)
     return out
+
+
+def oracle_enumeration(g):
+    """Breadth-first search from minimum_tubing over oracle flips.
+
+    Each layer is sorted by the json.dumps form of its tube lists, which
+    Tubing.key() must reproduce byte for byte.
+    """
+    def key(t):
+        return json.dumps([list(v) for v in t.tubes()], separators=(",", ":"))
+
+    seed = tl.minimum_tubing(g)
+    seen = {seed.tube_masks}
+    out, layer = [], [seed]
+    while layer:
+        layer.sort(key=key)
+        out.extend(layer)
+        nxt = []
+        for t in layer:
+            for x in t.tube_masks:
+                rest = [m for m in t.tube_masks if m != x]
+                for y in oracle_flip_replacements(g, t, x):
+                    t2 = tl.Tubing.of(g, rest + [y])
+                    if t2.tube_masks not in seen:
+                        seen.add(t2.tube_masks)
+                        nxt.append(t2)
+        layer = nxt
+    return out
+
+
+def connected_graphs(n: int):
+    """Every connected labeled simple graph on 1..n."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for r in range(n - 1, len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            try:
+                yield tl.custom_graph(n, edges)
+            except ValueError:  # disconnected
+                pass
+
+
+def orthogonal_pair(fs, members):
+    """The pair (closure of members, its orthogonal complement)."""
+    universe = fs.universe
+    closed, perp = la._orthogonal_closure(fs)(
+        sum(1 << b for b, x in enumerate(universe) if x in members))
+    left = frozenset(universe[b] for b in la._bits(closed))
+    right = frozenset(universe[b] for b in la._bits(perp))
+    return left, right
 
 
 def oracle_mobius(p):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -49,8 +50,18 @@ def test_enumerate_json_stream(capsys):
 def test_enumerate_rejects_bad_and_infeasible_sizes(capsys):
     code, _, err = run(capsys, "enumerate", "--graph", "cycle", "--n", "2")
     assert code == 2 and err
-    code, _, err = run(capsys, "enumerate", "--graph", "cycle", "--n", "10")
+    code, _, err = run(capsys, "enumerate", "--graph", "cycle", "--n", "12")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("kind, n, digest", [
+    ("path", 10, "0c657fd30a0aec036eaeba334a6b1d681342598803b65eec1bf9b6fda4c60ba3"),
+    ("cycle", 9, "76339b3658b6c0e9682a5f3baecda357d9a39c572b0707464116b5c3b4301314"),
+], ids=["path-10", "cycle-9"])
+def test_enumerate_json_catalog_is_pinned(capsys, kind, n, digest):
+    code, out, _ = run(capsys, "enumerate", "--graph", kind, "--n", str(n),
+                       "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_order_command(capsys, tmp_path):
@@ -202,6 +213,29 @@ def test_malformed_tree_json_exits_two(capsys, tmp_path, obj):
     bad = write_json(tmp_path, "bad.json", obj)
     code, out, err = run(capsys, "gtree", "--input", bad, "--graph", "cycle")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, obj", [
+    (("join", "--a", "{}", "--b", "{}"),
+     {"graph": {"kind": "path", "n": 2}, "tubes": [[True], [1, 2]]}),
+    (("gtree", "--input", "{}"),
+     {"graph": {"kind": "path", "n": True}, "tubes": [[1]]}),
+    (("gtree", "--input", "{}"),
+     {"graph": {"kind": "custom", "n": 2, "edges": [[True, 2]]},
+      "tubes": [[1], [1, 2]]}),
+    (("gtree", "--input", "{}", "--graph", "path"),
+     {"n": True, "root": 1, "parent": {}}),
+    (("gtree", "--input", "{}", "--graph", "cycle"),
+     {"n": 3, "root": True, "parent": {"2": 1, "3": 2}}),
+    (("gtree", "--input", "{}", "--graph", "cycle"),
+     {"n": 3, "root": 1, "parent": {"2": True, "3": 2}}),
+])
+def test_json_booleans_are_not_integers(capsys, tmp_path, command, obj):
+    # json loads true as True, which is an int equal to 1
+    bad = write_json(tmp_path, "bad.json", obj)
+    code, out, err = run(capsys, *(a.format(bad) for a in command))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_deeply_nested_json_exits_two(capsys, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 import tubelat as tl
 from tubelat import graph_core as gc
-from helpers import (graph, load_fixture, oracle_flip_replacements,
+from helpers import (connected_graphs, graph, load_fixture,
+                     oracle_enumeration, oracle_flip_replacements,
                      oracle_is_maximal, tubings)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -137,6 +138,33 @@ def test_flip_matches_replacement_search():
             for t2, _, new_top in gc.iter_flip_neighbors(g, t):
                 (replacement,) = set(t2.tube_masks) - set(t.tube_masks)
                 assert new_top == t2.top(replacement)
+
+
+def kernel_graphs():
+    """Every connected labeled graph on n <= 4 vertices, and the path,
+    cycle and complete graphs with n <= 5."""
+    for n in range(1, 5):
+        yield from connected_graphs(n)
+    for kind, low in (("path", 1), ("cycle", 3), ("complete", 1)):
+        for n in range(low, 6):
+            yield graph(kind, n)
+
+
+def test_enumeration_matches_oracle_search_in_order():
+    for g in kernel_graphs():
+        assert list(tl.enumerate_maximal_tubings(g)) == oracle_enumeration(g)
+
+
+def test_flip_tops_and_poset_covers_match_covers():
+    for g in kernel_graphs():
+        p = tl.build_poset(g)
+        for i, t in enumerate(p.objects):
+            for t2, old_top, new_top in gc.iter_flip_neighbors(g, t):
+                (x,) = set(t.tube_masks) - set(t2.tube_masks)
+                (y,) = set(t2.tube_masks) - set(t.tube_masks)
+                assert (old_top, new_top) == (t.top(x), t2.top(y))
+            assert set(p.covers_up[i]) == {
+                j for j, b in enumerate(p.objects) if tl.covers(g, t, b)}
 
 
 def test_covers():

@@ -6,7 +6,7 @@ import tubelat as tl
 from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
-from helpers import graph, oracle_mobius, poset, tubings
+from helpers import graph, oracle_mobius, orthogonal_pair, poset, tubings
 
 
 def ji_tubing(n, i, k):
@@ -497,7 +497,7 @@ def subset_filter_pairs(n):
     for code in range(1 << len(universe)):
         members = frozenset(x for b, x in enumerate(universe)
                             if code & (1 << b))
-        left, _ = la.orthogonal_pair(fs, members)
+        left, _ = orthogonal_pair(fs, members)
         if left == members:
             closed.add(members)
     return closed

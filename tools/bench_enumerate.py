@@ -1,0 +1,95 @@
+"""Time enumeration and poset building on two source trees, side by side.
+
+    python3 tools/bench_enumerate.py --parent OLD/src --change src \
+        --repeats 5 --out BENCH_enumerate.json
+
+Each measurement runs in a fresh interpreter with PYTHONPATH set to one
+tree. It times one call of enumerate_maximal_tubings or build_poset and
+reads the interpreter's own peak resident set (VmHWM, which starts afresh
+at exec). The two trees alternate which runs first on each repeat. The
+JSON written holds, per case, the median wall time and peak RSS of each
+tree over the repeats, every raw sample, and the command line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+CASES = [("enumerate_maximal_tubings", "path", 10),
+         ("enumerate_maximal_tubings", "path", 12),
+         ("enumerate_maximal_tubings", "cycle", 9),
+         ("enumerate_maximal_tubings", "cycle", 10),
+         ("enumerate_maximal_tubings", "cycle", 11),
+         ("enumerate_maximal_tubings", "complete", 8),
+         ("build_poset", "cycle", 7),
+         ("build_poset", "cycle", 8)]
+
+CHILD = r"""
+import json, sys, time
+from tubelat import graph_core, lattice_analysis
+op, kind, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+fn = getattr(graph_core, op, None) or getattr(lattice_analysis, op)
+graph = graph_core.make_graph(kind, n)
+start = time.perf_counter()
+size = len(fn(graph))
+wall = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"wall_s": wall, "peak_rss_mb": kb / 1024, "size": size}))
+"""
+
+
+def measure(src: str, op: str, kind: str, n: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0")
+    out = subprocess.run([sys.executable, "-c", CHILD, op, kind, str(n)],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=600)
+    return json.loads(out.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="src/ of the old tree")
+    ap.add_argument("--change", required=True, help="src/ of the new tree")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    samples = {case: {side: [] for side in sides} for case in CASES}
+    for r in range(args.repeats):
+        order = list(sides) if r % 2 == 0 else list(reversed(sides))
+        for case in CASES:
+            for side in order:
+                got = measure(sides[side], *case)
+                samples[case][side].append(got)
+                print(r, side, *case, got, file=sys.stderr, flush=True)
+    rows = []
+    for (op, kind, n), by_side in samples.items():
+        row = {"op": op, "graph": kind, "n": n,
+               "elements": by_side["change"][0]["size"]}
+        for side, runs in by_side.items():
+            if {s["size"] for s in runs} != {row["elements"]}:
+                raise SystemExit(f"{op} {kind} {n}: sizes differ between runs")
+            row[side] = {metric: round(statistics.median(s[metric] for s in runs), 3)
+                         for metric in ("wall_s", "peak_rss_mb")}
+            row[side]["wall_s_runs"] = [round(s["wall_s"], 3) for s in runs]
+        row["wall_ratio"] = round(row["parent"]["wall_s"] / row["change"]["wall_s"], 2)
+        rows.append(row)
+    report = {"command": " ".join(["python3", "tools/bench_enumerate.py"]
+                                  + (argv if argv is not None else sys.argv[1:])),
+              "python": platform.python_version(), "cpus": os.cpu_count(),
+              "repeats": args.repeats, "cases": rows}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
