@@ -19,7 +19,7 @@ from . import gtree as gt
 from . import lattice_analysis as la
 
 ENUM_CAPS = {"path": 12, "cycle": 11, "complete": 8}
-VERIFY_CAPS = {"lattice": 6, "order": 6, "quotient": 6, "sdl": 7, "cu": 12,
+VERIFY_CAPS = {"lattice": 6, "order": 6, "quotient": 6, "sdl": 8, "cu": 12,
                "mobius": 7, "ji": 12, "selfdual": 8, "regular": 8, "pairs": 5}
 FIBER_CAP = math.comb(16, 8)  # words; every fiber of a path with n <= 17 fits
 SELECTORS = ("lattice", "order", "quotient", "sdl", "cu", "mobius", "ji",

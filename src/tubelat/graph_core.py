@@ -96,6 +96,11 @@ class Graph:
             adj[v] |= _bit(u)
         return tuple(adj)
 
+    @cached_property
+    def json_text(self) -> str:
+        """The graph as compact JSON with sorted keys, as tubing_to_json writes it."""
+        return json.dumps(graph_to_obj(self), sort_keys=True, separators=(",", ":"))
+
     def is_tube_mask(self, mask: int) -> bool:
         if mask == 0 or mask & ~self.full_mask:
             raise ValueError("tube must be a nonempty subset of the vertices")
@@ -462,8 +467,7 @@ def graph_from_obj(obj: dict) -> Graph:
 
 
 def tubing_to_json(t: Tubing) -> str:
-    graph = json.dumps(graph_to_obj(t.graph), sort_keys=True, separators=(",", ":"))
-    return '{"graph":' + graph + ',"tubes":' + t.key() + "}"
+    return '{"graph":' + t.graph.json_text + ',"tubes":' + t.key() + "}"
 
 
 def tubing_from_json(text: str) -> Tubing:

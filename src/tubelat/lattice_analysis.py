@@ -1,15 +1,22 @@
 """Finite poset oracle and the structural theory of the cycle tubing lattice.
 
 The FinitePoset type is a brute-force oracle: it stores an explicit element
-list with cover relations and a reachability matrix. Its join and meet
-tables come from one up-set lookup (a and b have a least upper bound z
-exactly when up[z] == up[a] & up[b]); minimal_upper_bounds, brute_join and
-their duals stay as the reference definitions the tests hold the tables
-to. The Moebius function comes from Rota's crosscut theorem over the join
-table. The remaining functions build the structural apparatus of the
-cycle lattice: the grid of join irreducibles j(i, k), the kappa map onto
-meet irreducibles, the onto/into/forcing relations on join irreducibles,
-the semidistributivity and congruence-uniformity checks, and the
+list with cover relations and a reachability matrix. Every join it answers
+reads one coordinate map, FinitePoset.coords: phi(x) is the set of elements
+of Q above x, where Q holds the elements that are not the meet of their
+upper covers (in a lattice, the meet irreducibles). phi is an order
+embedding, so z is the join of a and b exactly when phi(z) == phi(a) &
+phi(b); the dual's map gives meets. On it rest the join and meet tables,
+the lattice test (N * |J| lookups), the Moebius function by Rota's crosscut
+theorem, and semidistributivity: a finite lattice is meet semidistributive
+exactly when every join irreducible j has a kappa, the class
+{x : j meet x = j_*} holding the join of its members, and join
+semidistributive when its dual is meet semidistributive.
+minimal_upper_bounds, brute_join and their duals stay as the reference
+definitions the tests hold these to. The remaining functions build the
+structural apparatus of the cycle lattice: the grid of join irreducibles
+j(i, k), the kappa map onto meet irreducibles, the onto/into/forcing
+relations on join irreducibles, the congruence-uniformity check, and the
 reconstruction of the lattice from maximal orthogonal pairs.
 """
 
@@ -40,6 +47,13 @@ class MiIndex(NamedTuple):
 
 # --- finite poset oracle ----------------------------------------------------
 
+class Coordinates(NamedTuple):
+    """FinitePoset.coords: Q in index order, phi(x) for every x, phi -> x."""
+    irreducibles: tuple[int, ...]
+    masks: tuple[int, ...]
+    at: dict[int, int]
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """An explicit finite poset: indexed elements, covers, reachability.
@@ -66,10 +80,10 @@ class FinitePoset:
         up = [0] * n
         pending = [len(c) for c in covers_up]
         queue = [i for i in range(n) if pending[i] == 0]
-        seen = 0
+        order = []  # every element after all of its upper covers
         while queue:
             i = queue.pop()
-            seen += 1
+            order.append(i)
             m = 1 << i
             for j in covers_up[i]:
                 m |= up[j]
@@ -78,15 +92,14 @@ class FinitePoset:
                 pending[p] -= 1
                 if pending[p] == 0:
                     queue.append(p)
-        if seen != n:
+        if len(order) != n:
             raise ValueError("cover relation contains a cycle")
         down = [0] * n
-        for i in range(n):
-            m = up[i]
-            while m:
-                low = m & -m
-                down[low.bit_length() - 1] |= 1 << i
-                m ^= low
+        for i in reversed(order):
+            m = 1 << i
+            for p in preds[i]:
+                m |= down[p]
+            down[i] = m
         return FinitePoset(tuple(keys), covers_up,
                            tuple(tuple(p) for p in preds),  # filled in order
                            tuple(up), tuple(down), tuple(objects))
@@ -122,28 +135,62 @@ class FinitePoset:
         return maxs[0]
 
     @cached_property
+    def coords(self) -> Coordinates:
+        """The irreducible coordinates phi(x) = up[x] & Q, renumbered.
+
+        Q holds the elements y that are not the meet of their upper covers:
+        the AND of down[c] over the covers c (the full mask when there are
+        none) differs from down[y]. phi is an order embedding of any
+        finite poset, x <= y exactly when phi(y) is a subset of phi(x), by
+        downward induction on y: an element of Q is caught by its own bit,
+        and any other y is the meet of its covers. So z is the join of a
+        and b exactly when phi(z) == phi(a) & phi(b).
+        """
+        full = (1 << len(self)) - 1
+        down, covers_up = self.down, self.covers_up
+        irreducibles = []
+        for y, ups in enumerate(covers_up):
+            m = full
+            for c in ups:
+                m &= down[c]
+            if m != down[y]:
+                irreducibles.append(y)
+        bit = {q: 1 << r for r, q in enumerate(irreducibles)}
+        masks = [0] * len(self)
+        # an upper cover has the smaller up-set, so it comes first
+        for x in sorted(range(len(self)), key=lambda i: self.up[i].bit_count()):
+            m = bit.get(x, 0)
+            for c in covers_up[x]:
+                m |= masks[c]
+            masks[x] = m
+        return Coordinates(tuple(irreducibles), tuple(masks),
+                           {m: i for i, m in enumerate(masks)})
+
+    @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
         """join_table[a][b] is the join index, or -1 when it does not exist.
 
-        z is the least upper bound of a and b exactly when its up-set is
-        the set of common upper bounds, up[z] == up[a] & up[b]; up-sets
-        of distinct elements differ, so one dict lookup finds z. The
-        table is symmetric: row a copies column a of the rows before it
-        and looks up only the entries with b >= a.
+        One dict lookup of phi(a) & phi(b) in the coordinates finds the
+        join. The table is symmetric: row a copies column a of the rows
+        before it and looks up only the entries with b >= a.
         """
-        at = {m: i for i, m in enumerate(self.up)}.get
-        up = self.up
+        at, masks = self.coords.at.get, self.coords.masks
         rows: list[tuple[int, ...]] = []
-        for a, ua in enumerate(up):
+        for a, ma in enumerate(masks):
             rows.append(tuple([r[a] for r in rows]
-                              + [at(ua & ub, -1) for ub in up[a:]]))
+                              + [at(ma & mb, -1) for mb in masks[a:]]))
         return tuple(rows)
 
     @cached_property
     def dual(self) -> "FinitePoset":
-        """The opposite poset: the same keys and objects, the order reversed."""
-        return FinitePoset(self.keys, self.covers_down, self.covers_up,
-                           self.down, self.up, self.objects)
+        """The opposite poset: the same keys and objects, the order reversed.
+
+        Its dual is this poset, caches included.
+        """
+        d = FinitePoset(self.keys, self.covers_down, self.covers_up,
+                        self.down, self.up, self.objects)
+        d.__dict__["dual"] = self
+        return d
 
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
@@ -207,12 +254,29 @@ def is_lattice(p: FinitePoset) -> bool:
     return lattice_failure(p) is None
 
 
+def _joins_exist(p: FinitePoset) -> bool:
+    """True when every pair of elements of p has a join.
+
+    Let J be the elements that are not the join of their lower covers,
+    the Q of p.dual. Dually to the embedding, phi(b) is the AND of phi(j)
+    over the j in J below b, so phi(c) & phi(b) folds in one j at a time.
+    Every pair has a join exactly when phi(c) & phi(j) is a coordinate
+    for every c and every j in J: N * |J| lookups.
+    """
+    at, masks = p.coords.at, p.coords.masks
+    return all(mc & masks[j] in at
+               for j in p.dual.coords.irreducibles for mc in masks)
+
+
 def lattice_failure(p: FinitePoset) -> dict | None:
     """A witness pair with several minimal upper or maximal lower bounds.
 
     The pair is the first a < b in row-major order without a join or a
-    meet, the join checked first.
+    meet, the join checked first. Only a poset that fails _joins_exist
+    or its dual pays for the tables.
     """
+    if _joins_exist(p) and _joins_exist(p.dual):
+        return None
     for a, (jrow, mrow) in enumerate(zip(p.join_table, p.meet_table)):
         # both tables are symmetric, so a -1 left of the diagonal would
         # already have been found in an earlier row
@@ -234,23 +298,24 @@ def mobius(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
 
     In a finite lattice mu(a, b) is the sum of (-1)^|S| over the sets S of
     upper covers of a whose join is b. Row a folds the covers in one at a
-    time: joins[i] is the join of the i-th subset and signs[i] its sign.
-    The theorem needs each interval [a, b] to be a lattice; that holds
-    once every pair has a join, so a -1 in the join table is refused.
+    time: joins[i] is phi of the join of the i-th subset and signs[i] its
+    sign. The theorem needs each interval [a, b] to be a lattice; that
+    holds once every pair has a join, so a poset without is refused.
     """
-    join = p.join_table
-    if any(-1 in row for row in join):
+    if not _joins_exist(p):
         raise ValueError("the Moebius matrix needs a join for every pair")
+    at, masks = p.coords.at, p.coords.masks
     n = len(p)
     rows = []
     for a in range(n):
-        joins, signs = [a], [1]
+        joins, signs = [masks[a]], [1]
         for c in p.covers_up[a]:
-            joins += [join[x][c] for x in joins]
+            mc = masks[c]
+            joins += [m & mc for m in joins]
             signs += [-s for s in signs]
         row = [0] * n
-        for z, s in zip(joins, signs):
-            row[z] += s
+        for m, s in zip(joins, signs):
+            row[at[m]] += s
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -437,18 +502,25 @@ def check_congruence_uniform(n: int) -> bool:
     return relation_acyclic(fs.universe, fs.arrows_force)
 
 
-def _classes_closed(by, fold) -> bool:
-    """True when, for every x and m, {y : by[x][y] == m} is closed under fold.
+def _kappas_exist(p: FinitePoset) -> bool:
+    """True when the lattice p satisfies the meet semidistributive law.
 
-    A class is closed exactly when the fold of all its members stays in
-    it, so each row costs one pass.
+    A finite lattice is meet semidistributive exactly when every join
+    irreducible j, with lower cover j_*, has a kappa: the class
+    {x : j meet x = j_*}, which is the x above j_* and not above j, holds
+    the join of its members. phi of that join is the set of q in Q above
+    the whole class, and the join is above j exactly when its phi is a
+    subset of phi(j). Cost: |J| * |Q| mask operations.
     """
-    for row in by:
-        acc = {}
-        for y, m in enumerate(row):
-            z = acc.get(m)
-            acc[m] = y if z is None else fold[z][y]
-        if any(row[z] != m for m, z in acc.items()):
+    irreducibles, masks = p.coords.irreducibles, p.coords.masks
+    up, down = p.up, p.down
+    for j in p.dual.coords.irreducibles:
+        members = up[p.covers_down[j][0]] & ~up[j]
+        top = 0
+        for r, q in enumerate(irreducibles):
+            if members & ~down[q] == 0:
+                top |= 1 << r
+        if top & ~masks[j] == 0:
             return False
     return True
 
@@ -456,17 +528,17 @@ def _classes_closed(by, fold) -> bool:
 def semidistributivity_witness(p: FinitePoset) -> dict | None:
     """A triple violating one of the two semidistributive laws, if any.
 
-    The meet law says that {y : x meet y = m} is closed under joins for
-    every x and m, the join law dually; that decides both in O(N^2)
-    table lookups. Only a violated law pays for the triple scan, which
-    returns the first violating triple in (x, y, z) order.
+    The meet law is decided by kappa existence (_kappas_exist), the join
+    law by the same test on the dual. Only a violated law pays for the
+    tables and the triple scan, which returns the first violating triple
+    in (x, y, z) order.
     """
     if not is_lattice(p):
         raise ValueError("semidistributivity is only defined for lattices")
+    if _kappas_exist(p) and _kappas_exist(p.dual):
+        return None
     join = p.join_table
     meet = p.meet_table
-    if _classes_closed(meet, join) and _classes_closed(join, meet):
-        return None
     n = len(p)
     for x in range(n):
         mrow = meet[x]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -90,6 +91,21 @@ def two_minima():
         ["a", "b", "x", "y", "1"], [(2, 3), (2,), (4,), (4,), ()])
 
 
+def bowtie():
+    # a, b below both x and y: no element is the meet of its upper covers
+    return la.FinitePoset.from_covers(
+        ["a", "b", "x", "y"], [(2, 3), (2, 3), (), ()])
+
+
+def antichain():
+    return la.FinitePoset.from_covers(["a", "b", "c"], [(), (), ()])
+
+
+def named_posets():
+    return [diamond(), boolean_square(), two_tops(), vee(), pentagon(),
+            meet_sd_only(), two_minima(), bowtie(), antichain()]
+
+
 def bound_scan_failure(p):
     """The first pair a < b without a unique minimal upper or maximal lower
     bound, by scanning the bounds of every pair."""
@@ -124,6 +140,98 @@ def test_lattice_failure_matches_the_bound_scan():
         assert want is not None and la.lattice_failure(p) == want
     assert "maximal_lower_bounds" in la.lattice_failure(two_tops().dual)
     assert la.lattice_failure(vee())["minimal_upper_bounds"] == []
+
+
+def test_coordinates_embed_the_order():
+    # x <= y exactly when phi(y) is a subset of phi(x), on p and its dual
+    posets = [poset("cycle", n) for n in range(3, 7)] + named_posets()
+    for p in posets + [q.dual for q in posets]:
+        masks = p.coords.masks
+        assert p.coords.at == {m: i for i, m in enumerate(masks)}
+        for x in range(len(p)):
+            for y in range(len(p)):
+                assert p.leq(x, y) == (masks[y] & ~masks[x] == 0)
+    for p in (bowtie(), antichain()):
+        assert p.coords.irreducibles == tuple(range(len(p)))
+    # in a lattice Q is the set of meet irreducibles
+    for p in [poset("cycle", n) for n in range(3, 7)] + [diamond(), pentagon()]:
+        assert p.coords.irreducibles == la.meet_irreducibles(p)
+
+
+def random_dag_poset(rng):
+    """The transitive closure of a random DAG, relabeled at random."""
+    n = rng.randint(1, 9)
+    density = rng.choice((0.15, 0.3, 0.5))
+    up = [0] * n
+    for i in reversed(range(n)):
+        up[i] = 1 << i
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                up[i] |= up[j]
+    return relabeled(rng, up)
+
+
+def random_closure_system(rng):
+    """A random family of subsets closed under intersection, with the full
+    set: a lattice under inclusion, not always semidistributive."""
+    ground = rng.randint(3, 5)
+    full = (1 << ground) - 1
+    family = {full} | {rng.randint(0, full) for _ in range(rng.randint(2, 7))}
+    grown = True
+    while grown:
+        more = {a & b for a in family for b in family} - family
+        family |= more
+        grown = bool(more)
+    sets = sorted(family)
+    up = [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets]
+    return relabeled(rng, up)
+
+
+def relabeled(rng, up):
+    """The poset with up-set masks up, its elements in a random order."""
+    n = len(up)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    masks = [0] * n
+    for i in range(n):
+        masks[perm[i]] = sum(1 << perm[j] for j in la._bits(up[i]))
+    return la.FinitePoset.from_leq([str(i) for i in range(n)], masks)
+
+
+def test_oracle_matches_the_references_on_random_posets():
+    rng = random.Random(20251010)
+    counts = {"non_lattice": 0, "sd": 0, "not_sd": 0}
+    for trial in range(1000):
+        make = random_dag_poset if trial % 2 else random_closure_system
+        p = make(rng)
+        masks = p.coords.masks
+        joins_exist = True
+        for a in range(len(p)):
+            for b in range(len(p)):
+                assert p.leq(a, b) == (masks[b] & ~masks[a] == 0)
+                mubs = la.minimal_upper_bounds(p, a, b)
+                assert p.join_table[a][b] == (mubs[0] if len(mubs) == 1
+                                              else -1)
+                mlbs = la.maximal_lower_bounds(p, a, b)
+                assert p.meet_table[a][b] == (mlbs[0] if len(mlbs) == 1
+                                              else -1)
+                joins_exist = joins_exist and len(mubs) == 1
+        failure = bound_scan_failure(p)
+        assert la.lattice_failure(p) == failure
+        if failure is None:
+            witness = triple_scan_witness(p)
+            assert la.semidistributivity_witness(p) == witness
+            counts["sd" if witness is None else "not_sd"] += 1
+        else:
+            counts["non_lattice"] += 1
+            with pytest.raises(ValueError):
+                la.semidistributivity_witness(p)
+        if joins_exist:
+            assert la.mobius(p) == oracle_mobius(p)
+        else:
+            with pytest.raises(ValueError):
+                la.mobius(p)
+    assert min(counts.values()) >= 50, counts
 
 
 def test_brute_join_and_failure_reporting():

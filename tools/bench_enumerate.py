@@ -1,14 +1,20 @@
-"""Time enumeration and poset building on two source trees, side by side.
+"""Time enumeration, poset building and the oracle on two source trees.
 
     python3 tools/bench_enumerate.py --parent OLD/src --change src \
         --repeats 5 --out BENCH_enumerate.json
+    python3 tools/bench_enumerate.py --suite oracle --parent OLD/src \
+        --change src --repeats 5 --out BENCH_oracle.json
 
 Each measurement runs in a fresh interpreter with PYTHONPATH set to one
-tree. It times one call of enumerate_maximal_tubings or build_poset and
-reads the interpreter's own peak resident set (VmHWM, which starts afresh
-at exec). The two trees alternate which runs first on each repeat. The
-JSON written holds, per case, the median wall time and peak RSS of each
-tree over the repeats, every raw sample, and the command line.
+tree. The enumerate suite times one call of enumerate_maximal_tubings or
+build_poset. The oracle suite times lattice_failure, join_table plus
+meet_table, semidistributivity_witness or mobius alone, each after an
+untimed build_poset, and `tubelat verify --selector sdl --force` whole,
+poset build included. Every measurement reads the interpreter's own peak
+resident set (VmHWM, which starts afresh at exec). The two trees alternate
+which runs first on each repeat. The JSON written holds, per case, the
+median wall time and peak RSS of each tree over the repeats, every raw
+sample, and the command line.
 """
 
 from __future__ import annotations
@@ -21,24 +27,49 @@ import statistics
 import subprocess
 import sys
 
-CASES = [("enumerate_maximal_tubings", "path", 10),
-         ("enumerate_maximal_tubings", "path", 12),
-         ("enumerate_maximal_tubings", "cycle", 9),
-         ("enumerate_maximal_tubings", "cycle", 10),
-         ("enumerate_maximal_tubings", "cycle", 11),
-         ("enumerate_maximal_tubings", "complete", 8),
-         ("build_poset", "cycle", 7),
-         ("build_poset", "cycle", 8)]
+ENUMERATE_CASES = [("enumerate_maximal_tubings", "path", 10),
+                   ("enumerate_maximal_tubings", "path", 12),
+                   ("enumerate_maximal_tubings", "cycle", 9),
+                   ("enumerate_maximal_tubings", "cycle", 10),
+                   ("enumerate_maximal_tubings", "cycle", 11),
+                   ("enumerate_maximal_tubings", "complete", 8),
+                   ("build_poset", "cycle", 7),
+                   ("build_poset", "cycle", 8)]
+ORACLE_CASES = [(op, "cycle", n) for n in (7, 8)
+                for op in ("lattice_failure", "join_table+meet_table",
+                           "semidistributivity_witness", "mobius")]
+ORACLE_CASES.append(("verify_sdl", "cycle", 8))
+SUITES = {"enumerate": ENUMERATE_CASES, "oracle": ORACLE_CASES}
 
 CHILD = r"""
-import json, sys, time
-from tubelat import graph_core, lattice_analysis
+import contextlib, io, json, sys, time
+from tubelat import cli, graph_core, lattice_analysis as la
+ORACLE = {"lattice_failure": la.lattice_failure,
+          "join_table+meet_table": lambda p: (p.join_table, p.meet_table),
+          "semidistributivity_witness": la.semidistributivity_witness,
+          "mobius": la.mobius}
 op, kind, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
-fn = getattr(graph_core, op, None) or getattr(lattice_analysis, op)
 graph = graph_core.make_graph(kind, n)
-start = time.perf_counter()
-size = len(fn(graph))
-wall = time.perf_counter() - start
+if op == "verify_sdl":
+    argv = ["verify", "--selector", "sdl", "--n", str(n), "--force"]
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    wall = time.perf_counter() - start
+    if code != 0:
+        sys.exit(f"verify exited {code}")
+    size = len(cli._poset(kind, n))
+elif op in ORACLE:
+    p = la.build_poset(graph)
+    start = time.perf_counter()
+    ORACLE[op](p)
+    wall = time.perf_counter() - start
+    size = len(p)
+else:
+    fn = getattr(graph_core, op, None) or getattr(la, op)
+    start = time.perf_counter()
+    size = len(fn(graph))
+    wall = time.perf_counter() - start
 with open("/proc/self/status") as fh:
     kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 print(json.dumps({"wall_s": wall, "peak_rss_mb": kb / 1024, "size": size}))
@@ -55,16 +86,18 @@ def measure(src: str, op: str, kind: str, n: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--suite", choices=sorted(SUITES), default="enumerate")
     ap.add_argument("--parent", required=True, help="src/ of the old tree")
     ap.add_argument("--change", required=True, help="src/ of the new tree")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
-    samples = {case: {side: [] for side in sides} for case in CASES}
+    cases = SUITES[args.suite]
+    samples = {case: {side: [] for side in sides} for case in cases}
     for r in range(args.repeats):
         order = list(sides) if r % 2 == 0 else list(reversed(sides))
-        for case in CASES:
+        for case in cases:
             for side in order:
                 got = measure(sides[side], *case)
                 samples[case][side].append(got)
