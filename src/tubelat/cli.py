@@ -22,6 +22,7 @@ ENUM_CAPS = {"path": 12, "cycle": 11, "complete": 8}
 VERIFY_CAPS = {"lattice": 6, "order": 6, "quotient": 6, "sdl": 8, "cu": 12,
                "mobius": 7, "ji": 12, "selfdual": 8, "regular": 8, "pairs": 5}
 FIBER_CAP = math.comb(16, 8)  # words; every fiber of a path with n <= 17 fits
+FORCING_CAP = 16  # the relations take O(n^4) pair tests: 0.4 s at n = 16
 SELECTORS = ("lattice", "order", "quotient", "sdl", "cu", "mobius", "ji",
              "selfdual", "regular", "pairs")
 
@@ -268,19 +269,17 @@ def verify_selfdual(n: int):
     graph = gc.make_graph(gc.CYCLE, n)
     elems = gc.enumerate_maximal_tubings(graph)
     index = {t.tube_masks: i for i, t in enumerate(elems)}
-    rev = []  # rev[a] indexes the reversal of elems[a]
-    for t in elems:
-        r = gc.relabel_reverse(t)
-        if r.tube_masks not in index or gc.relabel_reverse(r) != t:
+    rev = [index.get(gc.relabel_reverse(t).tube_masks) for t in elems]
+    for a, t in enumerate(elems):  # rev[a] indexes the reversal of elems[a]
+        if rev[a] is None or rev[rev[a]] != a:
             return False, [], {"not_involution": t.key()}
-        rev.append(index[r.tube_masks])
-    for t in elems:
-        for t2, old_top, new_top in gc.iter_flip_neighbors(graph, t):
-            if old_top < new_top:
-                ra, rb = gc.relabel_reverse(t), gc.relabel_reverse(t2)
-                if not gc.covers(graph, rb, ra):
-                    return False, [], {"cover_not_reversed": [t.key(),
-                                                              t2.key()]}
+    # (a, b) when elems[b] covers elems[a]: a flip raising the top label
+    covers = {(a, index[t2.tube_masks]) for a, t in enumerate(elems)
+              for t2, old_top, new_top in gc.iter_flip_neighbors(graph, t)
+              if old_top < new_top}
+    for a, b in sorted(covers):
+        if (rev[b], rev[a]) not in covers:
+            return False, [], {"cover_not_reversed": [elems[a].key(), elems[b].key()]}
     lines = [f"selfdual: reversal is an involution and reverses every cover "
              f"(n={n})"]
     if n <= 6:
@@ -447,6 +446,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_forcing(args) -> int:
+    if args.n > FORCING_CAP and not args.force:
+        return _fail(f"forcing cap is n <= {FORCING_CAP} (use --force to override)", 3)
     print(la.forcing_to_json(la.forcing_system(args.n)))
     return 0
 
@@ -566,6 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forcing", help="emit the forcing relations as JSON")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_forcing)
 
     p = sub.add_parser("hasse", help="DOT export of the tubing poset")

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .graph_core import (CYCLE, PATH, Graph, Tubing, make_graph,
                          relabel_reverse)
-from .gtree import _zipper_chains, gtree_of, inversion_masks
+from .gtree import _zipper_chains, inversion_masks
 
 
 def _require(t: Tubing, kind: str):
@@ -54,7 +54,7 @@ def _right_sizes(x: Tubing) -> list[int]:
     The tube of v is an interval of the path, and r[v] counts its vertices
     above v, which form the right subtree of v.
     """
-    return [0] + [(x.down(v) >> v).bit_length() for v in range(1, x.n + 1)]
+    return [(d >> v).bit_length() for v, d in enumerate(x.down_masks)]
 
 
 def _path_tubing(graph: Graph, r: list[int]) -> Tubing:
@@ -96,20 +96,12 @@ def cut(j: Tubing) -> Tubing:
     full tube stays whole. The result is a maximal tubing of the path.
     """
     _require(j, CYCLE)
-    n = j.n
-    m = j.top(j.graph.full_mask)
-    low = (1 << (m - 1)) - 1        # vertices strictly below m
-    high = ((1 << n) - 1) & ~((1 << m) - 1)  # vertices strictly above m
-    masks = []
-    for v in range(1, n + 1):
-        dm = j.down(v)
-        if v == m:
-            masks.append(dm)
-        elif v < m:
-            masks.append(dm & low)
-        else:
-            masks.append(dm & high)
-    return Tubing._make(make_graph(PATH, n), masks)
+    down, full = j.down_masks, j.graph.full_mask
+    m = down.index(full)  # the root tops the full tube
+    low = (1 << (m - 1)) - 1  # vertices strictly below m
+    high = full & ~((1 << m) - 1)  # vertices strictly above m
+    masks = [d & low for d in down[1:m]] + [full] + [d & high for d in down[m + 1:]]
+    return Tubing._make(make_graph(PATH, j.n), masks)
 
 
 # --- shuffle words and the sew map ------------------------------------------
@@ -163,17 +155,12 @@ def sew(x: Tubing, w) -> Tubing:
     word = w if isinstance(w, ShuffleWord) else ShuffleWord.of(x, w)
     if word.base != x:
         raise ValueError("shuffle word belongs to a different base tubing")
-    n = x.n
-    masks = []
-    in_word = set(word.word)
-    acc = 0
-    cumulative = {}
+    down = x.down_masks
+    masks, acc = list(down), 0
     for v in word.word:
-        acc |= x.down(v)
-        cumulative[v] = acc
-    for v in range(1, n + 1):
-        masks.append(cumulative[v] if v in in_word else x.down(v))
-    return Tubing._make(make_graph(CYCLE, n), masks)
+        acc |= down[v]
+        masks[v] = acc
+    return Tubing._make(make_graph(CYCLE, x.n), masks[1:])
 
 
 def word_of(j: Tubing) -> ShuffleWord:
@@ -188,7 +175,7 @@ def word_of(j: Tubing) -> ShuffleWord:
 
 def _word_over(j: Tubing, x: Tubing) -> ShuffleWord:
     left, right = _zipper_chains(x)
-    letters = sorted(left + right, key=lambda v: j.down(v).bit_count())
+    letters = sorted(left + right, key=lambda v: j.down_masks[v].bit_count())
     return ShuffleWord(x, tuple(letters))
 
 
@@ -252,9 +239,25 @@ def _rotate_up(parent: list[int], r: list[int], word: list[int], u: int):
         word.insert(word.index(v) + 1, u)
 
 
+def _path_parents(x: Tubing) -> list[int]:
+    """The parent table of the tree of a path tubing in O(n), 0 at the root.
+
+    A tube holding a neighbour of v's tube [s, e] contains it, so v's parent
+    is s - 1 or e + 1, whichever has the smaller (nested) tube mask.
+    """
+    down, n = x.down_masks, x.n
+    parent = [0] * (n + 1)
+    for v in range(1, n + 1):
+        d = down[v]
+        a, b = (d & -d).bit_length() - 1, d.bit_length() + 1  # s - 1, e + 1
+        parent[v] = a if b > n or (a and down[a] < down[b]) else b
+    return parent
+
+
 def _lift_word(j: Tubing, base: Tubing, x: Tubing) -> ShuffleWord:
-    """The shuffle word over x of lift(j, x), where base = cut(j) <= x."""
-    parent = list(gtree_of(base.graph, base).parent)
+    """The shuffle word over x of lift(j, x), where base = cut(j) <= x; the
+    rotations update the parent table that _path_parents reads off base."""
+    parent = _path_parents(base)
     word = list(_word_over(j, base).word)
     r, target = _right_sizes(base), _right_sizes(x)
     while r != target:

@@ -107,6 +107,7 @@ class Graph:
         # _connected_mask without its extra call: mask is nonzero, path is hot
         return _component(mask, mask & -mask, self.adj) == mask
 
+    @cached_property
     def w0_invariant(self) -> bool:
         """True when relabelling v to n+1-v maps the edge set onto itself."""
         n = self.n
@@ -273,18 +274,11 @@ class Tubing:
         return self.down_masks[x]
 
     def top(self, tube: Iterable[int] | int) -> int:
-        """The unique vertex whose smallest tube is the given tube."""
+        """The vertex whose smallest tube is the given tube, read off down_masks."""
         m = tube if isinstance(tube, int) else mask_of(tube)
         if m not in self.tube_masks:
             raise ValueError("tube is not part of this tubing")
-        inner = 0
-        for other in self.tube_masks:
-            if other != m and other & m == other:
-                inner |= other
-        rest = m & ~inner
-        if rest.bit_count() != 1:  # cannot happen for a valid maximal tubing
-            raise AssertionError("tube has no unique least-nested vertex")
-        return rest.bit_length()
+        return self.down_masks.index(m)
 
 
 def top(t: Tubing, x: Iterable[int] | int) -> int:
@@ -354,12 +348,12 @@ def covers(graph: Graph, a: Tubing, b: Tubing) -> bool:
 
 
 def relabel_reverse(t: Tubing) -> Tubing:
-    """Apply the order-reversing relabelling v -> n+1-v to every tube."""
+    """Relabel v -> n+1-v, reversing each tube mask's n binary digits."""
     g = t.graph
-    if not g.w0_invariant():
+    if not g.w0_invariant:
         raise ValueError("graph is not preserved by the reversal relabelling")
     n = g.n
-    masks = [mask_of(n + 1 - v for v in vertices_of(m)) for m in t.tube_masks]
+    masks = [int(f"{m:0{n}b}"[::-1], 2) for m in t.tube_masks]
     return Tubing._make(g, masks)
 
 

@@ -166,21 +166,20 @@ def pair_statistics(g: GTree) -> PairStats:
 # --- conversions ------------------------------------------------------------
 
 def gtree_of(graph: Graph, t: Tubing) -> GTree:
-    """The tree encoding of a maximal tubing: parents follow tube nesting."""
-    n = graph.n
-    parent = [0] * (n + 1)
-    root = t.top(graph.full_mask)
-    for v in range(1, n + 1):
-        if v == root:
-            continue
-        dv = t.down(v)
-        enclosing = 0
-        for m in t.tube_masks:
-            if m != dv and m & dv == dv:
-                enclosing = m
-                break
-        parent[v] = t.top(enclosing)
-    return GTree(n, root, tuple(parent))
+    """The tree encoding of a maximal tubing: parents follow tube nesting.
+
+    In one pass over the size-sorted tubes, each tube's parent is the first
+    later tube holding it, and down_masks names every tube's top.
+    """
+    masks = t.tube_masks
+    top = {m: v for v, m in enumerate(t.down_masks)}
+    parent = [0] * (graph.n + 1)
+    for i, x in enumerate(masks[:-1]):
+        j = i + 1
+        while masks[j] & x != x:
+            j += 1
+        parent[top[x]] = top[masks[j]]
+    return GTree(graph.n, top[masks[-1]], tuple(parent))
 
 
 def tubing_of(graph: Graph, g: GTree) -> Tubing:

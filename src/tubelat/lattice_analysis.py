@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graph_core import (CYCLE, Graph, Tubing, _bit,
+from .graph_core import (CYCLE, Graph, Tubing, _bit, _check_vertex_count,
                          enumerate_maximal_tubings, iter_flip_neighbors,
                          make_graph)
 from .gtree import GTree
@@ -342,6 +342,7 @@ def canonical_ji(n: int, i: int, k: int) -> GTree:
     n-1, ..., i+1 and whose right child starts the chain n-k-1, ..., 1.
     Each of these trees has exactly one descent edge.
     """
+    _check_vertex_count(n)  # before the parent table is built
     if n < 3:
         raise ValueError("join irreducibles need at least three vertices")
     if not (1 <= i <= n - 1 and 1 <= k <= n - 1):
@@ -456,6 +457,7 @@ def forcing_system(n: int) -> ForcingSystem:
     form of its definition (_forces_from_definition): the into arrows
     together with the reversed onto arrows.
     """
+    _check_vertex_count(n)  # before the (n-1)^2 grid is built
     if n < 3:
         raise ValueError("the forcing system needs at least three vertices")
     universe = [JiIndex(i, k) for i in range(1, n) for k in range(1, n)]

@@ -119,6 +119,54 @@ def oracle_mobius(p):
     return tuple(tuple(r) for r in rows)
 
 
+def reference_graphs():
+    """The graphs the fast tube reads are held to their references on: path
+    n <= 8, cycle n <= 7, complete n <= 5, the star on five vertices
+    centred at 1, which reversal does not preserve, and a five-vertex
+    custom graph that it does."""
+    return ([graph("path", n) for n in range(1, 9)]
+            + [graph("cycle", n) for n in range(3, 8)]
+            + [graph("complete", n) for n in range(1, 6)]
+            + [tl.custom_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),
+               tl.custom_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3),
+                                   (3, 5)])])
+
+
+def reference_top(t, m):
+    """The top of tube m of t: the one vertex of m in no smaller tube of t."""
+    inner = 0
+    for other in t.tube_masks:
+        if other != m and other & m == other:
+            inner |= other
+    rest = m & ~inner
+    assert rest.bit_count() == 1, "tube has no unique least-nested vertex"
+    return rest.bit_length()
+
+
+def reference_gtree_of(g, t):
+    """The tree of t: each parent tops the smallest tube properly holding
+    the child's tube, found by a scan of every tube per vertex."""
+    parent = [0] * (g.n + 1)
+    root = reference_top(t, g.full_mask)
+    for v in range(1, g.n + 1):
+        if v == root:
+            continue
+        dv = t.down(v)
+        enclosing = next(m for m in t.tube_masks if m != dv and m & dv == dv)
+        parent[v] = reference_top(t, enclosing)
+    return tl.GTree(g.n, root, tuple(parent))
+
+
+def reference_relabel_reverse(t):
+    """The reversal v -> n+1-v, vertex by vertex, after checking the edges."""
+    g, n = t.graph, t.graph.n
+    flipped = {tuple(sorted((n + 1 - u, n + 1 - v))) for u, v in g.edges}
+    if flipped != g.edges:
+        raise ValueError("graph is not preserved by the reversal relabelling")
+    return tl.Tubing.of(g, [[n + 1 - v for v in gc.vertices_of(m)]
+                            for m in t.tube_masks])
+
+
 def oracle_is_maximal(g, masks):
     """Literal maximality: pairwise compatible and no tube can be added."""
     masks = list(masks)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,25 @@ def test_ji_kappa_forcing_commands(capsys):
     assert len(obj["to"]) == 6
     code, _, err = run(capsys, "ji", "--n", "7", "--i", "9", "--k", "1")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("ji", "--n", "1000000", "--i", "1", "--k", "1"), 2),
+    (("forcing", "--n", "17"), 3),
+    (("forcing", "--n", "100000"), 3),
+    (("forcing", "--n", "100000", "--force"), 2),
+    (("verify", "--selector", "cu", "--n", "100000", "--force"), 2),
+], ids=["ji", "forcing-cap", "forcing-huge", "forcing-huge-forced",
+        "verify-cu-huge-forced"])
+def test_huge_n_exits_before_allocating(capsys, argv, want):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == want and out == "" and err
+    assert peak < 1 << 20
 
 
 def test_hasse_and_mobius_commands(capsys):

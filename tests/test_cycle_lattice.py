@@ -268,6 +268,12 @@ def test_shuffle_word_validation():
 
 # --- lift ------------------------------------------------------------------------
 
+def test_lift_parent_table_is_the_tree_of_the_base():
+    for n in range(1, 10):
+        for x in tubings("path", n):
+            assert cl._path_parents(x) == list(tl.gtree_of(x.graph, x).parent)
+
+
 def test_lift_at_the_base_is_identity():
     for j in tubings("cycle", 5):
         assert cl.lift(j, cl.cut(j)) == j

@@ -7,7 +7,8 @@ import tubelat as tl
 from tubelat import graph_core as gc
 from helpers import (connected_graphs, graph, load_fixture,
                      oracle_enumeration, oracle_flip_replacements,
-                     oracle_is_maximal, tubings)
+                     oracle_is_maximal, reference_graphs,
+                     reference_relabel_reverse, reference_top, tubings)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -198,6 +199,30 @@ def test_relabel_reverse():
     with pytest.raises(ValueError):
         tl.relabel_reverse(tl.minimum_tubing(
             tl.custom_graph(3, [(1, 2), (1, 3)])))
+
+
+def test_top_matches_the_inner_union_scan():
+    for g in reference_graphs():
+        for t in tl.enumerate_maximal_tubings(g):
+            assert [t.top(m) for m in t.tube_masks] == \
+                [reference_top(t, m) for m in t.tube_masks]
+
+
+def test_relabel_reverse_matches_the_vertex_list_version():
+    refused = 0
+    for g in reference_graphs():
+        for t in tl.enumerate_maximal_tubings(g):
+            try:
+                want = reference_relabel_reverse(t)
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError, match="reversal"):
+                    tl.relabel_reverse(t)
+            else:
+                assert tl.relabel_reverse(t) == want
+    # every tubing of the star, and of no other graph, is refused
+    star = tl.custom_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    assert refused == len(tl.enumerate_maximal_tubings(star)) > 0
 
 
 def test_relabel_reverses_the_order_exhaustively():

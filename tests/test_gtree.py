@@ -4,7 +4,8 @@ import pytest
 
 import tubelat as tl
 from tubelat import gtree as gt
-from helpers import graph, load_fixture, tubings
+from helpers import (graph, load_fixture, reference_graphs, reference_gtree_of,
+                     tubings)
 
 
 def tree_of(obj) -> gt.GTree:
@@ -47,6 +48,12 @@ def test_tubing_of_inverts_gtree_of():
             assert tree == gt.GTree.of(n, tree.root, parent)
             assert tl.validate(tree, treekind)
             assert tl.tubing_of(g, tree) == t
+
+
+def test_gtree_of_matches_the_nested_scan():
+    for g in reference_graphs():
+        for t in tl.enumerate_maximal_tubings(g):
+            assert tl.gtree_of(g, t) == reference_gtree_of(g, t)
 
 
 def test_tubing_of_examples():

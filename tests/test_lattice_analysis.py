@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -374,6 +375,23 @@ def test_canonical_ji_explicit_trees():
         la.canonical_ji(7, 0, 1)
     with pytest.raises(ValueError):
         la.canonical_ji(7, 3, 7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: la.canonical_ji(10 ** 6, 1, 1),
+    lambda: la.canonical_mi(10 ** 6, 1, 1),
+    lambda: la.forcing_system(10 ** 5),
+    lambda: la.forcing_system(64),
+], ids=["ji-1e6", "mi-1e6", "forcing-1e5", "forcing-64"])
+def test_huge_vertex_counts_are_refused_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.63"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_ji_inversion_closed_form():

@@ -1,16 +1,22 @@
-"""Time enumeration, poset building and the oracle on two source trees.
+"""Time enumeration, the oracle and single operations on two source trees.
 
     python3 tools/bench_enumerate.py --parent OLD/src --change src \
         --repeats 5 --out BENCH_enumerate.json
     python3 tools/bench_enumerate.py --suite oracle --parent OLD/src \
         --change src --repeats 5 --out BENCH_oracle.json
+    python3 tools/bench_enumerate.py --suite ops --parent OLD/src \
+        --change src --repeats 5 --out BENCH_ops.json
 
 Each measurement runs in a fresh interpreter with PYTHONPATH set to one
 tree. The enumerate suite times one call of enumerate_maximal_tubings or
 build_poset. The oracle suite times lattice_failure, join_table plus
 meet_table, semidistributivity_witness or mobius alone, each after an
 untimed build_poset, and `tubelat verify --selector sdl --force` whole,
-poset build included. Every measurement reads the interpreter's own peak
+poset build included. The ops suite times OPS_PAIRS calls of join_cycle,
+meet_cycle, leq_cycle, cut, lift or gtree_of on cycle tubings drawn with
+a seeded random.Random(n) from the untimed enumeration; each call gets
+Tubing objects built afresh, so no per-tubing cache is warm, and lift's
+targets are the untimed path joins of the two cuts. Every measurement reads the interpreter's own peak
 resident set (VmHWM, which starts afresh at exec). The two trees alternate
 which runs first on each repeat. The JSON written holds, per case, the
 median wall time and peak RSS of each tree over the repeats, every raw
@@ -39,18 +45,43 @@ ORACLE_CASES = [(op, "cycle", n) for n in (7, 8)
                 for op in ("lattice_failure", "join_table+meet_table",
                            "semidistributivity_witness", "mobius")]
 ORACLE_CASES.append(("verify_sdl", "cycle", 8))
-SUITES = {"enumerate": ENUMERATE_CASES, "oracle": ORACLE_CASES}
+OPS_CASES = [(op, "cycle", n) for n in range(5, 10)
+             for op in ("join_cycle", "meet_cycle", "leq_cycle", "cut", "lift",
+                        "gtree_of")]
+SUITES = {"enumerate": ENUMERATE_CASES, "oracle": ORACLE_CASES,
+          "ops": OPS_CASES}
 
 CHILD = r"""
-import contextlib, io, json, sys, time
-from tubelat import cli, graph_core, lattice_analysis as la
+import contextlib, io, json, random, sys, time
+from tubelat import cli, graph_core, gtree, lattice_analysis as la
+from tubelat import cycle_lattice as cl
+OPS_PAIRS = 200
 ORACLE = {"lattice_failure": la.lattice_failure,
           "join_table+meet_table": lambda p: (p.join_table, p.meet_table),
           "semidistributivity_witness": la.semidistributivity_witness,
           "mobius": la.mobius}
+OPS = {"join_cycle": lambda j, k, x: cl.join_cycle(j, k),
+       "meet_cycle": lambda j, k, x: cl.meet_cycle(j, k),
+       "leq_cycle": lambda j, k, x: cl.leq_cycle(j, k),
+       "cut": lambda j, k, x: cl.cut(j),
+       "lift": lambda j, k, x: cl.lift(j, x),
+       "gtree_of": lambda j, k, x: gtree.gtree_of(j.graph, j)}
 op, kind, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
 graph = graph_core.make_graph(kind, n)
-if op == "verify_sdl":
+if op in OPS:
+    elems = graph_core.enumerate_maximal_tubings(graph)
+    rng = random.Random(n)
+    pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(OPS_PAIRS)]
+    targets = [cl.join_path(cl.cut(j), cl.cut(k)) for j, k in pairs]
+    fresh = [(graph_core.Tubing(graph, j.tube_masks),
+              graph_core.Tubing(graph, k.tube_masks)) for j, k in pairs]
+    call = OPS[op]
+    start = time.perf_counter()
+    for (j, k), x in zip(fresh, targets):
+        call(j, k, x)
+    wall = time.perf_counter() - start
+    size = len(pairs)
+elif op == "verify_sdl":
     argv = ["verify", "--selector", "sdl", "--n", str(n), "--force"]
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -109,9 +140,10 @@ def main(argv=None) -> int:
         for side, runs in by_side.items():
             if {s["size"] for s in runs} != {row["elements"]}:
                 raise SystemExit(f"{op} {kind} {n}: sizes differ between runs")
-            row[side] = {metric: round(statistics.median(s[metric] for s in runs), 3)
+            # microseconds resolve the ops suite's millisecond loops
+            row[side] = {metric: round(statistics.median(s[metric] for s in runs), 6)
                          for metric in ("wall_s", "peak_rss_mb")}
-            row[side]["wall_s_runs"] = [round(s["wall_s"], 3) for s in runs]
+            row[side]["wall_s_runs"] = [round(s["wall_s"], 6) for s in runs]
         row["wall_ratio"] = round(row["parent"]["wall_s"] / row["change"]["wall_s"], 2)
         rows.append(row)
     report = {"command": " ".join(["python3", "tools/bench_enumerate.py"]
