@@ -273,40 +273,38 @@ def lattice_failure(p: FinitePoset) -> dict | None:
 
     The pair is the first a < b in row-major order without a join or a
     meet, the join checked first. Only a poset that fails _joins_exist
-    or its dual pays for the tables.
+    or its dual pays for the scan, which reads the coordinates of p and
+    of p.dual (the join exists exactly when phi(a) & phi(b) is a
+    coordinate) and builds no table.
     """
     if _joins_exist(p) and _joins_exist(p.dual):
         return None
-    for a, (jrow, mrow) in enumerate(zip(p.join_table, p.meet_table)):
-        # both tables are symmetric, so a -1 left of the diagonal would
-        # already have been found in an earlier row
-        if -1 in jrow or -1 in mrow:
-            b = min(row.index(-1) for row in (jrow, mrow) if -1 in row)
-            pair = [p.keys[a], p.keys[b]]
-            if jrow[b] == -1:
-                mubs = minimal_upper_bounds(p, a, b)
-                return {"pair": pair,
-                        "minimal_upper_bounds": [p.keys[z] for z in mubs]}
-            mlbs = maximal_lower_bounds(p, a, b)
-            return {"pair": pair,
-                    "maximal_lower_bounds": [p.keys[z] for z in mlbs]}
+    sides = [(q.coords.at, q.coords.masks, q, name) for q, name in
+             ((p, "minimal_upper_bounds"), (p.dual, "maximal_lower_bounds"))]
+    for a in range(len(p)):
+        for b in range(a + 1, len(p)):
+            for at, masks, q, name in sides:
+                if masks[a] & masks[b] not in at:
+                    bounds = minimal_upper_bounds(q, a, b)
+                    return {"pair": [p.keys[a], p.keys[b]],
+                            name: [p.keys[z] for z in bounds]}
     return None
 
 
-def mobius(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """The Moebius matrix, by Rota's crosscut theorem with exact integers.
+def mobius_rows(p: FinitePoset):
+    """The rows of the Moebius matrix, by Rota's crosscut theorem.
 
     In a finite lattice mu(a, b) is the sum of (-1)^|S| over the sets S of
     upper covers of a whose join is b. Row a folds the covers in one at a
     time: joins[i] is phi of the join of the i-th subset and signs[i] its
     sign. The theorem needs each interval [a, b] to be a lattice; that
-    holds once every pair has a join, so a poset without is refused.
+    holds once every pair has a join, so a poset without is refused when
+    the first row is asked for. Only one row is held at a time.
     """
     if not _joins_exist(p):
         raise ValueError("the Moebius matrix needs a join for every pair")
     at, masks = p.coords.at, p.coords.masks
     n = len(p)
-    rows = []
     for a in range(n):
         joins, signs = [masks[a]], [1]
         for c in p.covers_up[a]:
@@ -316,8 +314,12 @@ def mobius(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
         row = [0] * n
         for m, s in zip(joins, signs):
             row[at[m]] += s
-        rows.append(tuple(row))
-    return tuple(rows)
+        yield tuple(row)
+
+
+def mobius(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    """The Moebius matrix with exact integers, the tuple of mobius_rows."""
+    return tuple(mobius_rows(p))
 
 
 def join_irreducibles(p: FinitePoset) -> tuple[int, ...]:
@@ -403,6 +405,9 @@ def kappa(n: int, i: int, k: int) -> MiIndex:
     unique element below it; in grid coordinates, (n+1-i-k, n-k) when
     i+k <= n and (k, n-i) otherwise. The map is a bijection.
     """
+    _check_vertex_count(n)
+    if n < 3:
+        raise ValueError("join irreducibles need at least three vertices")
     if not (1 <= i <= n - 1 and 1 <= k <= n - 1):
         raise ValueError(f"indices must lie in 1..{n - 1}")
     if i + k <= n:
@@ -591,7 +596,9 @@ def pairs_lattice(n: int) -> FinitePoset:
     Pairs (X, Y) with Y the complement of X's arrow targets and X closed;
     they are ordered by containment of X. For the cycle forcing system the
     result reconstructs the tubing lattice. Closed sets are found by
-    saturating under the closure operator starting from the empty set.
+    saturating under the closure operator starting from the empty set. A
+    closed set strictly above X holds X | {g} for some g not in X, and so
+    its closure: the covers of X are the minimal closures its step meets.
     """
     fs = forcing_system(n)
     universe = fs.universe
@@ -600,34 +607,28 @@ def pairs_lattice(n: int) -> FinitePoset:
         raise ValueError(f"{size} generators exceed the cap of "
                          f"{MAX_PAIR_GENERATORS}")
     closure = _orthogonal_closure(fs)
-    bottom, _ = closure(0)
-    closed = {bottom}
-    frontier = [bottom]
+    above: dict[int, set[int]] = {}
+    frontier = [closure(0)[0]]
     while frontier:
         xmask = frontier.pop()
-        for g in range(size):
-            if not xmask & (1 << g):
-                c, _ = closure(xmask | (1 << g))
-                if c not in closed:
-                    closed.add(c)
-                    frontier.append(c)
+        if xmask in above:
+            continue
+        above[xmask] = {closure(xmask | 1 << g)[0]
+                        for g in range(size) if not xmask >> g & 1}
+        frontier.extend(above[xmask])
 
     def keyof(xmask: int) -> str:
         members = sorted([x.i, x.k] for x in
                          (universe[b] for b in _bits(xmask)))
         return json.dumps(members, separators=(",", ":"))
 
-    order = sorted(closed, key=lambda m: (m.bit_count(), keyof(m)))
+    order = sorted(above, key=lambda m: (m.bit_count(), keyof(m)))
     index = {m: i for i, m in enumerate(order)}
-    up_masks = []
-    for m in order:
-        up = 0
-        for other in order:
-            if m & ~other == 0:
-                up |= 1 << index[other]
-        up_masks.append(up)
+    covers = [[index[c] for c in above[m]
+               if not any(d != c and d & ~c == 0 for d in above[m])]
+              for m in order]
     objects = tuple(frozenset(universe[b] for b in _bits(m)) for m in order)
-    return FinitePoset.from_leq([keyof(m) for m in order], up_masks, objects)
+    return FinitePoset.from_covers([keyof(m) for m in order], covers, objects)
 
 
 # --- exports ------------------------------------------------------------------
@@ -649,8 +650,7 @@ def hasse_dot(p: FinitePoset, labels: str = "index") -> str:
 
 def mobius_csv(p: FinitePoset) -> str:
     """The Moebius matrix as plain CSV, row a column b holding mu(a, b)."""
-    matrix = mobius(p)
-    return "\n".join(",".join(str(v) for v in row) for row in matrix) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in mobius_rows(p)) + "\n"
 
 
 def forcing_to_json(fs: ForcingSystem) -> str:

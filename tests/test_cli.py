@@ -9,6 +9,9 @@ import pytest
 import tubelat as tl
 from tubelat import cli
 from tubelat import cycle_lattice as cl
+from tubelat import graph_core as gc
+from tubelat import gtree as gt
+from tubelat import lattice_analysis as la
 from helpers import graph, load_fixture, search_tree_tubing
 
 
@@ -67,7 +70,6 @@ def test_enumerate_json_catalog_is_pinned(capsys, kind, n, digest):
 
 def test_order_command(capsys, tmp_path):
     fx = load_fixture("cycle8_order_trio.json")
-    from tubelat import gtree as gt
     c8 = graph("cycle", 8)
     trio = {name: gt.tubing_of(c8, gt.gtree_from_json(json.dumps(fx[name])))
             for name in ("j", "k", "l")}
@@ -268,8 +270,10 @@ def test_ji_kappa_forcing_commands(capsys):
     (("forcing", "--n", "100000"), 3),
     (("forcing", "--n", "100000", "--force"), 2),
     (("verify", "--selector", "cu", "--n", "100000", "--force"), 2),
+    (("kappa", "--n", "100000", "--i", "99999", "--k", "99999"), 2),
+    (("kappa", "--n", "2", "--i", "1", "--k", "1"), 2),
 ], ids=["ji", "forcing-cap", "forcing-huge", "forcing-huge-forced",
-        "verify-cu-huge-forced"])
+        "verify-cu-huge-forced", "kappa-huge", "kappa-too-small"])
 def test_huge_n_exits_before_allocating(capsys, argv, want):
     tracemalloc.start()
     try:
@@ -284,6 +288,8 @@ def test_huge_n_exits_before_allocating(capsys, argv, want):
 def test_hasse_and_mobius_commands(capsys):
     code, out, _ = run(capsys, "hasse", "--graph", "path", "--n", "3")
     assert code == 0 and out.count("->") == 5
+    code, out, err = run(capsys, "hasse", "--graph", "cycle", "--n", "9")
+    assert code == 3 and out == "" and "(use --force to override)" in err
     code, out, _ = run(capsys, "mobius", "--graph", "cycle", "--n", "3")
     rows = out.strip().split("\n")
     assert code == 0 and len(rows) == 6
@@ -347,3 +353,45 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "enumerate", "--graph", "torus", "--n", "3")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "verify", "--selector", "everything", "--n", "3")[0] == 2
+
+
+# --- the FAIL paths of the suites ------------------------------------------
+
+def test_verify_order_fails_when_a_tree_move_is_wrong(monkeypatch):
+    p = cli._poset("cycle", 4)
+    monkeypatch.setattr(gt, "tree_move", lambda g, v, kind: g)
+    ok, lines, witness = cli.verify_order(4)
+    root = gt.gtree_of(p.objects[0].graph, p.objects[0]).root
+    assert not ok and lines == []
+    assert witness == {"tree_move_mismatch": [p.keys[0], 1 + (root == 1)]}
+
+
+def test_verify_selfdual_fails_when_reversal_keeps_the_order(monkeypatch):
+    p = cli._poset("cycle", 4)
+    monkeypatch.setattr(gc, "relabel_reverse", lambda t: t)
+    ok, lines, witness = cli.verify_selfdual(4)
+    b = p.covers_up[0][0]
+    assert not ok and lines == []
+    assert witness == {"cover_not_reversed": [p.keys[0], p.keys[b]]}
+
+
+def test_verify_pairs_fails_when_two_irreducibles_are_swapped(monkeypatch):
+    original = la.canonical_ji
+    swap = {(1, 1): (1, 2), (1, 2): (1, 1)}
+    monkeypatch.setattr(la, "canonical_ji", lambda n, i, k:
+                        original(n, *swap.get((i, k), (i, k))))
+    ok, lines, witness = cli.verify_pairs(4)
+    assert not ok and lines == [] and list(witness) == ["downset_missing"]
+    assert witness["downset_missing"] in cli._poset("cycle", 4).keys
+
+
+def test_verify_ji_fails_on_a_broken_chain_or_poset(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(gc, "covers", lambda graph, a, b: False)
+        assert cli.verify_ji(4) == (False, [], {"chain_not_saturated": [1, 2]})
+    with monkeypatch.context() as m:
+        m.setattr(la, "join_irreducibles",
+                  lambda p, real=la.join_irreducibles: real(p)[:-1])
+        ok, lines, witness = cli.verify_ji(4)
+        assert not ok and len(lines) == 1
+        assert witness == {"poset_ji_count": 8, "expected": 9}

@@ -143,6 +143,13 @@ def test_lattice_failure_matches_the_bound_scan():
     assert la.lattice_failure(vee())["minimal_upper_bounds"] == []
 
 
+def test_lattice_failure_builds_no_table():
+    for p in (two_tops(), vee().dual, la.build_poset(graph("cycle", 4))):
+        la.lattice_failure(p)
+        assert not {"join_table", "meet_table"} & p.__dict__.keys()
+        assert not {"join_table", "meet_table"} & p.dual.__dict__.keys()
+
+
 def test_coordinates_embed_the_order():
     # x <= y exactly when phi(y) is a subset of phi(x), on p and its dual
     posets = [poset("cycle", n) for n in range(3, 7)] + named_posets()
@@ -661,6 +668,15 @@ def test_pairs_lattice_reconstructs_the_tubing_lattice():
         for a in range(len(p)):
             for b in range(len(p)):
                 assert p.leq(a, b) == pl.leq(image[a], image[b])
+
+
+def test_pairs_lattice_covers_match_the_containment_order():
+    for n in (3, 4, 5):
+        pl = la.pairs_lattice(n)
+        sets = pl.objects
+        up = [sum(1 << j for j, y in enumerate(sets) if x <= y) for x in sets]
+        want = la.FinitePoset.from_leq(pl.keys, up, sets)
+        assert pl == want
 
 
 def test_pairs_lattice_rejects_large_grids():

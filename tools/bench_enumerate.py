@@ -6,6 +6,8 @@
         --change src --repeats 5 --out BENCH_oracle.json
     python3 tools/bench_enumerate.py --suite ops --parent OLD/src \
         --change src --repeats 5 --out BENCH_ops.json
+    python3 tools/bench_enumerate.py --suite verify --parent OLD/src \
+        --change src --repeats 5 --out BENCH_verify.json
 
 Each measurement runs in a fresh interpreter with PYTHONPATH set to one
 tree. The enumerate suite times one call of enumerate_maximal_tubings or
@@ -16,7 +18,10 @@ poset build included. The ops suite times OPS_PAIRS calls of join_cycle,
 meet_cycle, leq_cycle, cut, lift or gtree_of on cycle tubings drawn with
 a seeded random.Random(n) from the untimed enumeration; each call gets
 Tubing objects built afresh, so no per-tubing cache is warm, and lift's
-targets are the untimed path joins of the two cuts. Every measurement reads the interpreter's own peak
+targets are the untimed path joins of the two cuts. The verify suite
+times `tubelat verify --selector S --n N --force` whole through cli.main,
+poset build included, for the suites that read the cached poset or the
+flip kernel. Every measurement reads the interpreter's own peak
 resident set (VmHWM, which starts afresh at exec). The two trees alternate
 which runs first on each repeat. The JSON written holds, per case, the
 median wall time and peak RSS of each tree over the repeats, every raw
@@ -45,14 +50,19 @@ ORACLE_CASES = [(op, "cycle", n) for n in (7, 8)
                 for op in ("lattice_failure", "join_table+meet_table",
                            "semidistributivity_witness", "mobius")]
 ORACLE_CASES.append(("verify_sdl", "cycle", 8))
+VERIFY_CASES = [("verify_order", "cycle", 6), ("verify_order", "cycle", 7),
+                ("verify_selfdual", "cycle", 8),
+                ("verify_selfdual", "cycle", 9),
+                ("verify_mobius", "cycle", 8), ("verify_ji", "cycle", 7),
+                ("verify_pairs", "cycle", 5)]
 OPS_CASES = [(op, "cycle", n) for n in range(5, 10)
              for op in ("join_cycle", "meet_cycle", "leq_cycle", "cut", "lift",
                         "gtree_of")]
 SUITES = {"enumerate": ENUMERATE_CASES, "oracle": ORACLE_CASES,
-          "ops": OPS_CASES}
+          "ops": OPS_CASES, "verify": VERIFY_CASES}
 
 CHILD = r"""
-import contextlib, io, json, random, sys, time
+import contextlib, io, json, math, random, sys, time
 from tubelat import cli, graph_core, gtree, lattice_analysis as la
 from tubelat import cycle_lattice as cl
 OPS_PAIRS = 200
@@ -81,15 +91,17 @@ if op in OPS:
         call(j, k, x)
     wall = time.perf_counter() - start
     size = len(pairs)
-elif op == "verify_sdl":
-    argv = ["verify", "--selector", "sdl", "--n", str(n), "--force"]
+elif op.startswith("verify_"):
+    argv = ["verify", "--selector", op[len("verify_"):], "--n", str(n),
+            "--force"]
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     wall = time.perf_counter() - start
     if code != 0:
         sys.exit(f"verify exited {code}")
-    size = len(cli._poset(kind, n))
+    # the cycle's tubing count: an untimed poset build would raise VmHWM
+    size = math.comb(2 * n - 2, n - 1)
 elif op in ORACLE:
     p = la.build_poset(graph)
     start = time.perf_counter()
