@@ -55,8 +55,9 @@ def verify_order(n: int):
     # leq_cycle(ta, tb) is inv(ta) & coinv(tb) == 0; read the masks once
     masks = [gt.inversion_masks(t) for t in elems]
     for a, (inv, _) in enumerate(masks):
+        row = format(p.up[a], f"0{len(p)}b")[::-1]  # row[b] is 1 when a <= b
         for b, (_, coinv) in enumerate(masks):
-            want = p.leq(a, b)
+            want = row[b] == "1"
             got = inv & coinv == 0
             if want != got:
                 return False, [], {"pair": [p.keys[a], p.keys[b]],

@@ -380,27 +380,45 @@ def enumerate_maximal_tubings(graph: Graph) -> tuple[Tubing, ...]:
 
     Layers expand from the seed tubing; within a layer, tubings are sorted
     by their canonical serialized form, so the output order is deterministic.
+    Path n = 12 (208,012 tubings) and cycle n = 11 (184,756) take seconds
+    and under 100 MB.
+    """
+    return _flip_graph(graph)[0]
+
+
+def _flip_graph(graph: Graph, covers: bool = False,
+                max_elements: int | None = None
+                ) -> tuple[tuple[Tubing, ...], list[list[int]] | None]:
+    """(tubings, covers_up) by one breadth-first flip pass.
+
     Each tube gets a bit the first time it is seen and a tubing's code is
     the OR of its tubes' bits, so a flip's code is one XOR away and only a
     new code builds a Tubing. A flip moves at most one layer, so the codes
     of three layers suffice for deduplication. Each tubing costs one
-    O(n^2) pass of _flips: path n = 12 (208,012 tubings) and cycle n = 11
-    (184,756) take seconds and under 100 MB.
+    O(n^2) pass of _flips. With covers, each tubing keeps the codes of its
+    up-flips, top(x) < top(Y), and one dict from code to output index makes
+    covers_up[i] the tubings covering tubing i; without, covers_up is None.
+    A layer that would take the count past max_elements raises ValueError.
     """
     seed = minimum_tubing(graph)
     bit = {m: 1 << i for i, m in enumerate(seed.tube_masks)}
     out: list[Tubing] = []
+    at: dict[int, int] = {}  # code -> output index, kept with covers only
+    ups: list[list[int]] = []
     older: set[int] = set()
     codes = {sum(bit.values())}
     layer = [seed]
     while layer:
+        if max_elements is not None and len(out) + len(layer) > max_elements:
+            raise ValueError(f"more than {max_elements} tubings, over the cap")
         layer.sort(key=Tubing.key)
         out.extend(layer)
         nxt = []
         new_codes: set[int] = set()
         for t in layer:
             code = sum([bit[m] for m in t.tube_masks])  # the bits are distinct
-            for x, rep, _, _ in _flips(t):
+            flips = _flips(t)
+            for x, rep, _, _ in flips:
                 rep_bit = bit.get(rep)
                 if rep_bit is None:
                     rep_bit = bit[rep] = 1 << len(bit)
@@ -409,8 +427,12 @@ def enumerate_maximal_tubings(graph: Graph) -> tuple[Tubing, ...]:
                     continue
                 new_codes.add(c)
                 nxt.append(_swap(t, x, rep))
+            if covers:
+                at[code] = len(at)
+                ups.append([code ^ bit[x] ^ bit[rep]
+                            for x, rep, top_x, top_y in flips if top_x < top_y])
         older, codes, layer = codes, new_codes, nxt
-    return tuple(out)
+    return tuple(out), [[at[c] for c in u] for u in ups] if covers else None
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graph_core import (CYCLE, Graph, Tubing, _bit, _check_vertex_count,
-                         enumerate_maximal_tubings, iter_flip_neighbors,
-                         make_graph)
+from .graph_core import (CYCLE, Graph, _bit, _check_vertex_count,
+                         _flip_graph, make_graph)
 from .gtree import GTree
 
 
@@ -205,21 +204,14 @@ def _bits(mask: int):
 
 
 def build_poset(graph: Graph, max_elements: int = 10 ** 6) -> FinitePoset:
-    """Enumerate the tubing poset of a connected graph, covers included."""
-    elems = enumerate_maximal_tubings(graph)
-    if len(elems) > max_elements:
-        raise ValueError(f"poset has {len(elems)} elements, over the cap")
-    index = {t.tube_masks: i for i, t in enumerate(elems)}
-    covers_up: list[set[int]] = [set() for _ in elems]
-    for i, t in enumerate(elems):
-        for t2, old_top, new_top in iter_flip_neighbors(graph, t):
-            j = index[t2.tube_masks]
-            if old_top < new_top:
-                covers_up[i].add(j)
-            else:
-                covers_up[j].add(i)
-    return FinitePoset.from_covers(
-        [t.key() for t in elems], [tuple(sorted(c)) for c in covers_up], elems)
+    """The tubing poset of a connected graph, covers included.
+
+    The covers are the up-flips of the enumeration's own flip pass, which
+    refuses as soon as it counts past max_elements.
+    """
+    elems, covers_up = _flip_graph(graph, covers=True,
+                                   max_elements=max_elements)
+    return FinitePoset.from_covers([t.key() for t in elems], covers_up, elems)
 
 
 def minimal_upper_bounds(p: FinitePoset, a: int, b: int) -> tuple[int, ...]:

@@ -132,6 +132,23 @@ def reference_graphs():
                                    (3, 5)])])
 
 
+def reference_build_poset(g):
+    """The tubing poset by a second flip pass over the enumeration: a
+    neighbour Tubing per flip, found by its masks, oriented by top labels."""
+    elems = tl.enumerate_maximal_tubings(g)
+    index = {t.tube_masks: i for i, t in enumerate(elems)}
+    covers_up = [set() for _ in elems]
+    for i, t in enumerate(elems):
+        for t2, old_top, new_top in gc.iter_flip_neighbors(g, t):
+            j = index[t2.tube_masks]
+            if old_top < new_top:
+                covers_up[i].add(j)
+            else:
+                covers_up[j].add(i)
+    return la.FinitePoset.from_covers([t.key() for t in elems], covers_up,
+                                      elems)
+
+
 def reference_top(t, m):
     """The top of tube m of t: the one vertex of m in no smaller tube of t."""
     inner = 0

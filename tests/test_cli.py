@@ -211,11 +211,26 @@ def test_gtree_conversion_commands(capsys, tmp_path):
     {"n": 3, "root": 1, "parent": [2, 1]},
     {"n": 3, "root": 1, "parent": {"2": [1], "3": 1}},
     {"n": 64, "root": 1, "parent": {}},
+    {"n": 3, "root": 1, "parent": {"2": 1, "3": "2"}},
+    {"n": 3, "root": 1, "parent": {"2": 3, "3": 2}},  # a cycle
+    {"n": 3, "root": 1, "parent": {"2": 1, "3": 4}},  # out of range
+    {"n": 10 ** 6, "root": 1, "parent": {}},
 ])
 def test_malformed_tree_json_exits_two(capsys, tmp_path, obj):
     bad = write_json(tmp_path, "bad.json", obj)
     code, out, err = run(capsys, "gtree", "--input", bad, "--graph", "cycle")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_gtree_accepts_a_chain_at_the_vertex_cap(capsys, tmp_path, kind):
+    n = gc.MAX_VERTICES
+    chain = write_json(tmp_path, "chain.json", {
+        "n": n, "root": n, "parent": {str(v): v + 1 for v in range(1, n)}})
+    code, out, err = run(capsys, "gtree", "--input", chain, "--graph", kind)
+    assert code == 0 and err == ""
+    assert json.loads(out)["tubes"] == [list(range(1, k + 1))
+                                        for k in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("command, obj", [

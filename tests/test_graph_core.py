@@ -7,8 +7,9 @@ import tubelat as tl
 from tubelat import graph_core as gc
 from helpers import (connected_graphs, graph, load_fixture,
                      oracle_enumeration, oracle_flip_replacements,
-                     oracle_is_maximal, reference_graphs,
-                     reference_relabel_reverse, reference_top, tubings)
+                     oracle_is_maximal, reference_build_poset,
+                     reference_graphs, reference_relabel_reverse,
+                     reference_top, tubings)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -166,6 +167,12 @@ def test_flip_tops_and_poset_covers_match_covers():
                 assert (old_top, new_top) == (t.top(x), t2.top(y))
             assert set(p.covers_up[i]) == {
                 j for j, b in enumerate(p.objects) if tl.covers(g, t, b)}
+
+
+def test_build_poset_matches_the_two_pass_reference():
+    # reference_graphs() holds path 8 and cycle 7
+    for g in reference_graphs():
+        assert tl.build_poset(g) == reference_build_poset(g)
 
 
 def test_covers():

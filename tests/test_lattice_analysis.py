@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -49,6 +50,20 @@ def test_build_poset_cycle3_is_a_hexagon():
 def test_build_poset_respects_the_cap():
     with pytest.raises(ValueError):
         la.build_poset(graph("cycle", 5), max_elements=10)
+
+
+def test_build_poset_refuses_before_enumerating_past_the_cap():
+    # cycle 12 has 705,432 tubings; the pass stops near the first 1,000
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="over the cap"):
+            la.build_poset(graph("cycle", 12), max_elements=1000)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2 and peak < 4 * 2 ** 20
 
 
 def diamond():

@@ -45,7 +45,8 @@ ENUMERATE_CASES = [("enumerate_maximal_tubings", "path", 10),
                    ("enumerate_maximal_tubings", "cycle", 11),
                    ("enumerate_maximal_tubings", "complete", 8),
                    ("build_poset", "cycle", 7),
-                   ("build_poset", "cycle", 8)]
+                   ("build_poset", "cycle", 8),
+                   ("build_poset", "cycle", 9)]
 ORACLE_CASES = [(op, "cycle", n) for n in (7, 8)
                 for op in ("lattice_failure", "join_table+meet_table",
                            "semidistributivity_witness", "mobius")]
