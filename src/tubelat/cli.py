@@ -100,15 +100,18 @@ def verify_lattice(n: int):
     join = p.join_table
     meet = p.meet_table
     index = {t.tube_masks: i for i, t in enumerate(elems)}
+    # encode once per element; a meet is the reversed join of the reversals
+    enc = [cl._encode(t) for t in elems]
+    rev = [cl._encode(gc.relabel_reverse(t)) for t in elems]
     for a in range(len(elems)):
         for b in range(a, len(elems)):
-            cj = cl.join_cycle(elems[a], elems[b])
+            cj = cl._join_encoded(enc[a], enc[b])
             if index[cj.tube_masks] != join[a][b]:
                 return False, [], {"op": "join",
                                    "pair": [elems[a].key(), elems[b].key()],
                                    "constructive": cj.key(),
                                    "oracle": p.keys[join[a][b]]}
-            cm = cl.meet_cycle(elems[a], elems[b])
+            cm = gc.relabel_reverse(cl._join_encoded(rev[a], rev[b]))
             if index[cm.tube_masks] != meet[a][b]:
                 return False, [], {"op": "meet",
                                    "pair": [elems[a].key(), elems[b].key()],

@@ -17,6 +17,10 @@ lifting both arguments into the fiber over that join, and joining the
 resulting shuffle words coordinatewise. A lift climbs from the cut image to
 its target one tree rotation at a time, always taking the first rotation
 that stays below the target, and rewrites the shuffle word on the way.
+
+A join has a per-tubing half, _encode (the cut image, its bracket vector
+and parent table, the shuffle word), and a per-pair half, _join_encoded,
+which reads two encodings; a caller joining many pairs encodes once each.
 """
 
 from __future__ import annotations
@@ -124,9 +128,10 @@ class ShuffleWord:
         left, right = _zipper_chains(base)
         if sorted(w) != sorted(left + right):
             raise ValueError("word is not a permutation of the zipper vertices")
-        if tuple(v for v in w if v in set(left)) != left:
+        lset, rset = set(left), set(right)
+        if tuple(v for v in w if v in lset) != left:
             raise ValueError("left zipper letters out of order")
-        if tuple(v for v in w if v in set(right)) != right:
+        if tuple(v for v in w if v in rset) != right:
             raise ValueError("right zipper letters out of order")
         return ShuffleWord(base, w)
 
@@ -254,12 +259,18 @@ def _path_parents(x: Tubing) -> list[int]:
     return parent
 
 
-def _lift_word(j: Tubing, base: Tubing, x: Tubing) -> ShuffleWord:
-    """The shuffle word over x of lift(j, x), where base = cut(j) <= x; the
-    rotations update the parent table that _path_parents reads off base."""
-    parent = _path_parents(base)
-    word = list(_word_over(j, base).word)
-    r, target = _right_sizes(base), _right_sizes(x)
+def _encode(j: Tubing) -> tuple:
+    """cut(j), its bracket vector and parent table, and j's word over it; the
+    vectors are bytes (no entry exceeds n <= 63), a third of a tuple's size."""
+    x = cut(j)
+    return (x, bytes(_right_sizes(x)), bytes(_path_parents(x)),
+            bytes(_word_over(j, x).word))
+
+
+def _lift(e: tuple, x: Tubing, target: list[int]) -> ShuffleWord:
+    """The word over x, of bracket vector target, of the lift of the encoded
+    tubing e; the rotations work on list copies of e's vectors."""
+    r, parent, word = list(e[1]), list(e[2]), list(e[3])
     while r != target:
         u = next(u for u in range(1, len(r)) if u < parent[u]
                  and r[u] + 1 + r[parent[u]] <= target[u])
@@ -277,10 +288,10 @@ def lift(j: Tubing, x: Tubing) -> Tubing:
     """
     _require(j, CYCLE)
     _require(x, PATH)
-    base = cut(j)
-    if not leq_path(base, x):
+    e = _encode(j)
+    if not leq_path(e[0], x):
         raise ValueError("lift requires cut(j) <= x in the path order")
-    return sew(x, _lift_word(j, base, x))
+    return sew(x, _lift(e, x, _right_sizes(x)))
 
 
 # --- joins and meets --------------------------------------------------------
@@ -325,8 +336,8 @@ def meet_path(x: Tubing, y: Tubing) -> Tubing:
     return _path_tubing(x.graph, r)
 
 
-def join_path(x: Tubing, y: Tubing) -> Tubing:
-    """Join in the path order: the least bracket vector above both.
+def _join_brackets(r1, r2) -> list[int]:
+    """The least bracket vector above the bracket vectors r1 and r2.
 
     A vector is a bracket vector when the interval from v to v + r[v]
     contains the interval of every w inside it. Starting from the
@@ -334,17 +345,30 @@ def join_path(x: Tubing, y: Tubing) -> Tubing:
     enough to contain the intervals that start inside it; the jumps skip
     intervals nested in one already seen.
     """
-    _require(x, PATH)
-    _require(y, PATH)
-    _same_n(x, y)
-    r = [max(a, b) for a, b in zip(_right_sizes(x), _right_sizes(y))]
+    r = [max(a, b) for a, b in zip(r1, r2)]
     for v in range(len(r) - 1, 0, -1):
         end, w = v + r[v], v + 1
         while w <= end:
             end = max(end, w + r[w])
             w += r[w] + 1
         r[v] = end - v
-    return _path_tubing(x.graph, r)
+    return r
+
+
+def join_path(x: Tubing, y: Tubing) -> Tubing:
+    """Join in the path order: the least bracket vector above both."""
+    _require(x, PATH)
+    _require(y, PATH)
+    _same_n(x, y)
+    return _path_tubing(x.graph, _join_brackets(_right_sizes(x), _right_sizes(y)))
+
+
+def _join_encoded(e1: tuple, e2: tuple) -> Tubing:
+    """The join of two encoded cycle tubings: lift both words into the fiber
+    over the join of the cuts and sew the join of the lifted words."""
+    r = _join_brackets(e1[1], e2[1])
+    x = _path_tubing(e1[0].graph, r)
+    return sew(x, shuffle_join(x, _lift(e1, x, r), _lift(e2, x, r)))
 
 
 def join_cycle(j: Tubing, k: Tubing) -> Tubing:
@@ -356,9 +380,7 @@ def join_cycle(j: Tubing, k: Tubing) -> Tubing:
     _require(j, CYCLE)
     _require(k, CYCLE)
     _same_n(j, k)
-    cj, ck = cut(j), cut(k)
-    x = join_path(cj, ck)
-    return sew(x, shuffle_join(x, _lift_word(j, cj, x), _lift_word(k, ck, x)))
+    return _join_encoded(_encode(j), _encode(k))
 
 
 def meet_cycle(j: Tubing, k: Tubing) -> Tubing:

@@ -255,16 +255,12 @@ class Tubing:
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        """down_masks[v] is the smallest tube containing v, as GTree.down_masks."""
-        down = [0] * (self.n + 1)
-        for v in range(1, self.n + 1):
-            vb = _bit(v)
-            best = 0
-            for m in self.tube_masks:
-                if m & vb:
-                    best = m
-                    break
-            down[v] = best
+        """down_masks[v] is the smallest tube containing v, as GTree.down_masks;
+        each tube, smallest first, adds just its top to the tubes before it."""
+        down, seen = [0] * (self.n + 1), 0
+        for m in self.tube_masks:
+            down[(m & ~seen).bit_length()] = m
+            seen |= m
         return tuple(down)
 
     def down(self, x: int) -> int:

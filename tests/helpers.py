@@ -160,6 +160,15 @@ def reference_top(t, m):
     return rest.bit_length()
 
 
+def reference_down_masks(t):
+    """down_masks by a scan of the size-sorted tubes for each vertex: its
+    smallest tube is the first that holds it."""
+    down = [0] * (t.n + 1)
+    for v in range(1, t.n + 1):
+        down[v] = next((m for m in t.tube_masks if m >> (v - 1) & 1), 0)
+    return tuple(down)
+
+
 def reference_gtree_of(g, t):
     """The tree of t: each parent tops the smallest tube properly holding
     the child's tube, found by a scan of every tube per vertex."""

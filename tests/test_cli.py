@@ -390,6 +390,45 @@ def test_verify_selfdual_fails_when_reversal_keeps_the_order(monkeypatch):
     assert witness == {"cover_not_reversed": [p.keys[0], p.keys[b]]}
 
 
+def _break_one_encoded_join(monkeypatch, pair, result):
+    """Make cl._join_encoded return result on the encodings of pair alone."""
+    real, bad = cl._join_encoded, tuple(cl._encode(t) for t in pair)
+    monkeypatch.setattr(cl, "_join_encoded", lambda e1, e2:
+                        result if (e1, e2) == bad else real(e1, e2))
+
+
+def test_verify_lattice_fails_on_a_wrong_join(monkeypatch):
+    p = cli._poset("cycle", 4)
+    lo, t = p.objects[0], p.objects[1]
+    _break_one_encoded_join(monkeypatch, (lo, t), lo)
+    ok, lines, witness = cli.verify_lattice(4)
+    assert not ok and lines == []
+    assert witness == {"op": "join", "pair": [p.keys[0], p.keys[1]],
+                       "constructive": p.keys[0], "oracle": p.keys[1]}
+
+
+def test_verify_lattice_fails_on_a_wrong_meet(monkeypatch):
+    # a meet is the reversed join of the reversals
+    p = cli._poset("cycle", 4)
+    lo, t = p.objects[0], p.objects[1]
+    _break_one_encoded_join(monkeypatch, (gc.relabel_reverse(lo),
+                                          gc.relabel_reverse(t)),
+                            gc.relabel_reverse(t))
+    ok, lines, witness = cli.verify_lattice(4)
+    assert not ok and lines == []
+    assert witness == {"op": "meet", "pair": [p.keys[0], p.keys[1]],
+                       "constructive": p.keys[1], "oracle": p.keys[0]}
+
+
+def test_verify_quotient_fails_when_cut_breaks_a_join(monkeypatch):
+    p = cli._poset("cycle", 4)
+    real = cl.join_path
+    monkeypatch.setattr(cl, "join_path",
+                        lambda x, y: gc.relabel_reverse(real(x, y)))
+    assert cli.verify_quotient(4) == (False, [], {
+        "op": "join", "pair": [p.keys[0], p.keys[0]]})
+
+
 def test_verify_pairs_fails_when_two_irreducibles_are_swapped(monkeypatch):
     original = la.canonical_ji
     swap = {(1, 1): (1, 2), (1, 2): (1, 1)}

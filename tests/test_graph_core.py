@@ -8,7 +8,8 @@ from tubelat import graph_core as gc
 from helpers import (connected_graphs, graph, load_fixture,
                      oracle_enumeration, oracle_flip_replacements,
                      oracle_is_maximal, reference_build_poset,
-                     reference_graphs, reference_relabel_reverse,
+                     reference_down_masks, reference_graphs,
+                     reference_relabel_reverse,
                      reference_top, tubings)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -213,6 +214,12 @@ def test_top_matches_the_inner_union_scan():
         for t in tl.enumerate_maximal_tubings(g):
             assert [t.top(m) for m in t.tube_masks] == \
                 [reference_top(t, m) for m in t.tube_masks]
+
+
+def test_down_masks_match_the_per_vertex_scan():
+    for g in reference_graphs() + [graph("cycle", 8)]:
+        for t in tl.enumerate_maximal_tubings(g):
+            assert t.down_masks == reference_down_masks(t)
 
 
 def test_relabel_reverse_matches_the_vertex_list_version():

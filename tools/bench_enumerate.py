@@ -51,7 +51,8 @@ ORACLE_CASES = [(op, "cycle", n) for n in (7, 8)
                 for op in ("lattice_failure", "join_table+meet_table",
                            "semidistributivity_witness", "mobius")]
 ORACLE_CASES.append(("verify_sdl", "cycle", 8))
-VERIFY_CASES = [("verify_order", "cycle", 6), ("verify_order", "cycle", 7),
+VERIFY_CASES = [("verify_lattice", "cycle", 5), ("verify_lattice", "cycle", 6),
+                ("verify_order", "cycle", 6), ("verify_order", "cycle", 7),
                 ("verify_selfdual", "cycle", 8),
                 ("verify_selfdual", "cycle", 9),
                 ("verify_mobius", "cycle", 8), ("verify_ji", "cycle", 7),
