@@ -19,7 +19,7 @@ from . import gtree as gt
 from . import lattice_analysis as la
 
 ENUM_CAPS = {"path": 12, "cycle": 11, "complete": 8}
-VERIFY_CAPS = {"lattice": 6, "order": 6, "quotient": 6, "sdl": 8, "cu": 12,
+VERIFY_CAPS = {"lattice": 6, "order": 6, "quotient": 7, "sdl": 8, "cu": 12,
                "mobius": 7, "ji": 12, "selfdual": 8, "regular": 8, "pairs": 5}
 FIBER_CAP = math.comb(16, 8)  # words; every fiber of a path with n <= 17 fits
 FORCING_CAP = 16  # the relations take O(n^4) pair tests: 0.4 s at n = 16
@@ -99,20 +99,21 @@ def verify_lattice(n: int):
     elems = p.objects
     join = p.join_table
     meet = p.meet_table
-    index = {t.tube_masks: i for i, t in enumerate(elems)}
-    # encode once per element; a meet is the reversed join of the reversals
+    # encode once per element; a meet is the reversed join of the reversals.
+    # Pairs compare (bracket vector, word), which determines a cycle tubing.
     enc = [cl._encode(t) for t in elems]
     rev = [cl._encode(gc.relabel_reverse(t)) for t in elems]
+    key, rkey = ([(e[1], e[3]) for e in es] for es in (enc, rev))
     for a in range(len(elems)):
         for b in range(a, len(elems)):
-            cj = cl._join_encoded(enc[a], enc[b])
-            if index[cj.tube_masks] != join[a][b]:
+            if cl._join_coords(enc[a], enc[b]) != key[join[a][b]]:
+                cj = cl._join_encoded(enc[a], enc[b])
                 return False, [], {"op": "join",
                                    "pair": [elems[a].key(), elems[b].key()],
                                    "constructive": cj.key(),
                                    "oracle": p.keys[join[a][b]]}
-            cm = gc.relabel_reverse(cl._join_encoded(rev[a], rev[b]))
-            if index[cm.tube_masks] != meet[a][b]:
+            if cl._join_coords(rev[a], rev[b]) != rkey[meet[a][b]]:
+                cm = gc.relabel_reverse(cl._join_encoded(rev[a], rev[b]))
                 return False, [], {"op": "meet",
                                    "pair": [elems[a].key(), elems[b].key()],
                                    "constructive": cm.key(),
@@ -130,14 +131,15 @@ def verify_quotient(n: int):
     join = p.join_table
     meet = p.meet_table
     cuts = [cl.cut(t) for t in elems]
-    # the oracle tables stand for join_cycle/meet_cycle: verify_lattice
-    # checks that they agree on every pair
+    # the oracle tables stand for join_cycle/meet_cycle (verify_lattice
+    # checks that); a cut is determined by, and compared as, its bracket vector
+    R = [bytes(cl._right_sizes(x)) for x in cuts]
     for a in range(len(elems)):
         for b in range(a, len(elems)):
-            if cuts[join[a][b]] != cl.join_path(cuts[a], cuts[b]):
+            if R[join[a][b]] != bytes(cl._join_brackets(R[a], R[b])):
                 return False, [], {"op": "join",
                                    "pair": [p.keys[a], p.keys[b]]}
-            if cuts[meet[a][b]] != cl.meet_path(cuts[a], cuts[b]):
+            if R[meet[a][b]] != bytes(map(min, R[a], R[b])):
                 return False, [], {"op": "meet",
                                    "pair": [p.keys[a], p.keys[b]]}
     graph_p = gc.make_graph(gc.PATH, n)

@@ -19,8 +19,10 @@ its target one tree rotation at a time, always taking the first rotation
 that stays below the target, and rewrites the shuffle word on the way.
 
 A join has a per-tubing half, _encode (the cut image, its bracket vector
-and parent table, the shuffle word), and a per-pair half, _join_encoded,
-which reads two encodings; a caller joining many pairs encodes once each.
+and parent table, the shuffle word), and a per-pair half, _join_coords,
+which gives the join's bracket vector and word from two encodings; these
+determine the tubing, which _join_encoded decodes. A caller joining many
+pairs encodes once each.
 """
 
 from __future__ import annotations
@@ -267,15 +269,15 @@ def _encode(j: Tubing) -> tuple:
             bytes(_word_over(j, x).word))
 
 
-def _lift(e: tuple, x: Tubing, target: list[int]) -> ShuffleWord:
-    """The word over x, of bracket vector target, of the lift of the encoded
-    tubing e; the rotations work on list copies of e's vectors."""
+def _lift(e: tuple, target: list[int]) -> list[int]:
+    """The word of the lift of the encoded tubing e over the path tubing of
+    bracket vector target; the rotations work on list copies of e's vectors."""
     r, parent, word = list(e[1]), list(e[2]), list(e[3])
     while r != target:
         u = next(u for u in range(1, len(r)) if u < parent[u]
                  and r[u] + 1 + r[parent[u]] <= target[u])
         _rotate_up(parent, r, word, u)
-    return ShuffleWord(x, tuple(word))
+    return word
 
 
 def lift(j: Tubing, x: Tubing) -> Tubing:
@@ -291,25 +293,27 @@ def lift(j: Tubing, x: Tubing) -> Tubing:
     e = _encode(j)
     if not leq_path(e[0], x):
         raise ValueError("lift requires cut(j) <= x in the path order")
-    return sew(x, _lift(e, x, _right_sizes(x)))
+    return sew(x, ShuffleWord(x, tuple(_lift(e, _right_sizes(x)))))
 
 
 # --- joins and meets --------------------------------------------------------
 
-def _shuffle_bound(x: Tubing, w1: ShuffleWord, w2: ShuffleWord, pick):
-    """The word whose crossing counts are pick of those of w1 and w2.
+def _merge(w1, w2, m: int, pick) -> list[int]:
+    """The word over a base of root m whose crossing counts are pick of those
+    of the words w1 and w2. Left letter i (a letter below m) sits at i plus
+    its crossing count, so inserting the left letters in chain order at pick
+    of their positions among the right letters builds the word."""
+    word = [v for v in w1 if v > m]
+    for a in (v for v in w1 if v < m):
+        word.insert(pick(w1.index(a), w2.index(a)), a)
+    return word
 
-    Left letter i sits at i plus its crossing count, so inserting the left
-    letters in chain order at pick of their positions among the right
-    letters builds the word.
-    """
+
+def _shuffle_bound(x: Tubing, w1: ShuffleWord, w2: ShuffleWord, pick):
     if w1.base != x or w2.base != x:
         raise ValueError("shuffle words must share the base tubing")
-    left, right = _zipper_chains(x)
-    word = list(right)
-    for a in left:
-        word.insert(pick(w1.word.index(a), w2.word.index(a)), a)
-    return ShuffleWord(x, tuple(word))
+    m = x.down_masks.index(x.graph.full_mask)
+    return ShuffleWord(x, tuple(_merge(w1.word, w2.word, m, pick)))
 
 
 def shuffle_join(x: Tubing, w1: ShuffleWord, w2: ShuffleWord) -> ShuffleWord:
@@ -363,12 +367,19 @@ def join_path(x: Tubing, y: Tubing) -> Tubing:
     return _path_tubing(x.graph, _join_brackets(_right_sizes(x), _right_sizes(y)))
 
 
-def _join_encoded(e1: tuple, e2: tuple) -> Tubing:
-    """The join of two encoded cycle tubings: lift both words into the fiber
-    over the join of the cuts and sew the join of the lifted words."""
+def _join_coords(e1: tuple, e2: tuple) -> tuple[bytes, bytes]:
+    """The join of two encodings as an encoding's (e[1], e[3]): the words,
+    lifted over the join of the cuts, merged by the max crossing counts."""
     r = _join_brackets(e1[1], e2[1])
+    m = next(v for v in range(1, len(r)) if v + r[v] == len(r) - 1)  # the root
+    return bytes(r), bytes(_merge(_lift(e1, r), _lift(e2, r), m, max))
+
+
+def _join_encoded(e1: tuple, e2: tuple) -> Tubing:
+    """The join of two encoded cycle tubings, _join_coords decoded."""
+    r, word = _join_coords(e1, e2)
     x = _path_tubing(e1[0].graph, r)
-    return sew(x, shuffle_join(x, _lift(e1, x, r), _lift(e2, x, r)))
+    return sew(x, ShuffleWord(x, tuple(word)))
 
 
 def join_cycle(j: Tubing, k: Tubing) -> Tubing:

@@ -321,6 +321,9 @@ def test_verify_selectors(capsys):
     assert code == 0
     code, _, err = run(capsys, "verify", "--selector", "sdl", "--n", "9")
     assert code == 3 and "cap" in err
+    code, out, err = run(capsys, "verify", "--selector", "quotient",
+                         "--n", "8")
+    assert code == 3 and out == "" and "quotient is n <= 7" in err
     code, out, _ = run(capsys, "verify", "--selector", "sdl", "--n", "6")
     assert code == 0 and out == ("PASS sdl (n=6)\n  sdl: both "
                                  "semidistributive laws hold on all triples "
@@ -391,10 +394,12 @@ def test_verify_selfdual_fails_when_reversal_keeps_the_order(monkeypatch):
 
 
 def _break_one_encoded_join(monkeypatch, pair, result):
-    """Make cl._join_encoded return result on the encodings of pair alone."""
-    real, bad = cl._join_encoded, tuple(cl._encode(t) for t in pair)
-    monkeypatch.setattr(cl, "_join_encoded", lambda e1, e2:
-                        result if (e1, e2) == bad else real(e1, e2))
+    """Make cl._join_coords return the coordinates of result on the
+    encodings of pair alone."""
+    real, bad = cl._join_coords, tuple(cl._encode(t) for t in pair)
+    e = cl._encode(result)
+    monkeypatch.setattr(cl, "_join_coords", lambda e1, e2:
+                        (e[1], e[3]) if (e1, e2) == bad else real(e1, e2))
 
 
 def test_verify_lattice_fails_on_a_wrong_join(monkeypatch):
@@ -421,10 +426,12 @@ def test_verify_lattice_fails_on_a_wrong_meet(monkeypatch):
 
 
 def test_verify_quotient_fails_when_cut_breaks_a_join(monkeypatch):
+    # the suite joins the cuts' bracket vectors; break it as a reversed
+    # join_path would
     p = cli._poset("cycle", 4)
-    real = cl.join_path
-    monkeypatch.setattr(cl, "join_path",
-                        lambda x, y: gc.relabel_reverse(real(x, y)))
+    real, path = cl._join_brackets, gc.make_graph(gc.PATH, 4)
+    monkeypatch.setattr(cl, "_join_brackets", lambda r1, r2: cl._right_sizes(
+        gc.relabel_reverse(cl._path_tubing(path, real(r1, r2)))))
     assert cli.verify_quotient(4) == (False, [], {
         "op": "join", "pair": [p.keys[0], p.keys[0]]})
 

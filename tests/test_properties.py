@@ -82,3 +82,17 @@ def test_cut_and_sew_are_inverse(j, data):
     lefts, rights = iter(left), iter(right)
     word = [next(lefts) if i in slots else next(rights) for i in range(size)]
     assert cl.cut(cl.sew(x, word)) == x
+
+
+@LAWS
+@given(cycle_pairs())
+def test_join_coordinates_are_those_of_the_join(pair):
+    # the coordinates are an encoding's bracket vector and word, and a
+    # checked sew decodes them
+    j, k = pair
+    join = cl.join_cycle(j, k)
+    r, word = cl._join_coords(cl._encode(j), cl._encode(k))
+    e = cl._encode(join)
+    assert (r, word) == (e[1], e[3])
+    x = cl._path_tubing(tl.make_graph("path", j.n), r)
+    assert x == e[0] and cl.sew(x, word) == join
