@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 from . import graph_core as gc
 from . import cycle_lattice as cl
@@ -19,7 +20,7 @@ from . import gtree as gt
 from . import lattice_analysis as la
 
 ENUM_CAPS = {"path": 12, "cycle": 11, "complete": 8}
-VERIFY_CAPS = {"lattice": 6, "order": 6, "quotient": 7, "sdl": 8, "cu": 12,
+VERIFY_CAPS = {"lattice": 7, "order": 6, "quotient": 7, "sdl": 8, "cu": 12,
                "mobius": 7, "ji": 12, "selfdual": 8, "regular": 8, "pairs": 5}
 FIBER_CAP = math.comb(16, 8)  # words; every fiber of a path with n <= 17 fits
 FORCING_CAP = 16  # the relations take O(n^4) pair tests: 0.4 s at n = 16
@@ -91,33 +92,64 @@ def verify_order(n: int):
     return True, lines, None
 
 
+def _fiber_pairs(R):
+    """Group the elements by their cut's bracket vector R[a], so into the
+    fibers of cut, and yield (x, y, pairs) for every unordered pair of
+    fibers: their cuts' vectors and their element pairs, X x Y or, within one
+    fiber, a <= b. Every unordered pair of elements comes once."""
+    fibers = {}
+    for a, r in enumerate(R):
+        fibers.setdefault(r, []).append(a)
+    groups = list(fibers.items())
+    for i, (x, X) in enumerate(groups):
+        yield x, x, combinations_with_replacement(X, 2)
+        for y, Y in groups[i + 1:]:
+            yield x, y, product(X, Y)
+
+
+def _join_failure(es, table):
+    """The first pair (a, b, r, pos) of the encodings es whose join by lifts
+    differs from table[a][b]: r joins the cuts, pos is the max of the two
+    lifts' positions over r, or None when r fails to lie above both cuts and
+    so a lift is missing. A pair compares (bracket vector, positions), which
+    determine a cycle tubing, with those of the table's element."""
+    lifts = [cl._lifts(e) for e in es]
+    key = [(e[1], cl._positions(e[3], cl._root(e[1]))) for e in es]
+    for x, y, pairs in _fiber_pairs([e[1] for e in es]):
+        r = bytes(cl._join_brackets(x, y))
+        for a, b in pairs:
+            pa, pb = lifts[a].get(r), lifts[b].get(r)
+            pos = None if pa is None or pb is None else bytes(map(max, pa, pb))
+            if (r, pos) != key[table[a][b]]:
+                return a, b, r, pos
+    return None
+
+
 def verify_lattice(n: int):
     p = _poset(gc.CYCLE, n)
     witness = la.lattice_failure(p)
     if witness is not None:
         return False, [], witness
     elems = p.objects
-    join = p.join_table
-    meet = p.meet_table
-    # encode once per element; a meet is the reversed join of the reversals.
-    # Pairs compare (bracket vector, word), which determines a cycle tubing.
-    enc = [cl._encode(t) for t in elems]
-    rev = [cl._encode(gc.relabel_reverse(t)) for t in elems]
-    key, rkey = ([(e[1], e[3]) for e in es] for es in (enc, rev))
-    for a in range(len(elems)):
-        for b in range(a, len(elems)):
-            if cl._join_coords(enc[a], enc[b]) != key[join[a][b]]:
-                cj = cl._join_encoded(enc[a], enc[b])
-                return False, [], {"op": "join",
-                                   "pair": [elems[a].key(), elems[b].key()],
-                                   "constructive": cj.key(),
-                                   "oracle": p.keys[join[a][b]]}
-            if cl._join_coords(rev[a], rev[b]) != rkey[meet[a][b]]:
-                cm = gc.relabel_reverse(cl._join_encoded(rev[a], rev[b]))
-                return False, [], {"op": "meet",
-                                   "pair": [elems[a].key(), elems[b].key()],
-                                   "constructive": cm.key(),
-                                   "oracle": p.keys[meet[a][b]]}
+    # a meet is the reversed join of the reversals, whose cuts an unlifted
+    # meet witness's vector joins
+    for op, es, table in (
+            ("join", [cl._encode(t) for t in elems], p.join_table),
+            ("meet", [cl._encode(gc.relabel_reverse(t)) for t in elems],
+             p.meet_table)):
+        bad = _join_failure(es, table)
+        if bad is None:
+            continue
+        a, b, r, pos = bad
+        witness = {"op": op, "pair": [p.keys[a], p.keys[b]],
+                   "oracle": p.keys[table[a][b]]}
+        if pos is None:
+            witness["unlifted"] = list(r)
+        else:
+            c = cl._decode(r, pos)
+            witness["constructive"] = (
+                c if op == "join" else gc.relabel_reverse(c)).key()
+        return False, [], witness
     return True, [f"lattice: joins and meets exist and the constructive "
                   f"operations match the oracle on all pairs (n={n})"], None
 
@@ -134,12 +166,13 @@ def verify_quotient(n: int):
     # the oracle tables stand for join_cycle/meet_cycle (verify_lattice
     # checks that); a cut is determined by, and compared as, its bracket vector
     R = [bytes(cl._right_sizes(x)) for x in cuts]
-    for a in range(len(elems)):
-        for b in range(a, len(elems)):
-            if R[join[a][b]] != bytes(cl._join_brackets(R[a], R[b])):
+    for x, y, pairs in _fiber_pairs(R):
+        rj, rm = bytes(cl._join_brackets(x, y)), bytes(map(min, x, y))
+        for a, b in pairs:
+            if R[join[a][b]] != rj:
                 return False, [], {"op": "join",
                                    "pair": [p.keys[a], p.keys[b]]}
-            if R[meet[a][b]] != bytes(map(min, R[a], R[b])):
+            if R[meet[a][b]] != rm:
                 return False, [], {"op": "meet",
                                    "pair": [p.keys[a], p.keys[b]]}
     graph_p = gc.make_graph(gc.PATH, n)

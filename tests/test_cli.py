@@ -324,6 +324,9 @@ def test_verify_selectors(capsys):
     code, out, err = run(capsys, "verify", "--selector", "quotient",
                          "--n", "8")
     assert code == 3 and out == "" and "quotient is n <= 7" in err
+    code, out, err = run(capsys, "verify", "--selector", "lattice",
+                         "--n", "8")
+    assert code == 3 and out == "" and "lattice is n <= 7" in err
     code, out, _ = run(capsys, "verify", "--selector", "sdl", "--n", "6")
     assert code == 0 and out == ("PASS sdl (n=6)\n  sdl: both "
                                  "semidistributive laws hold on all triples "
@@ -393,36 +396,61 @@ def test_verify_selfdual_fails_when_reversal_keeps_the_order(monkeypatch):
     assert witness == {"cover_not_reversed": [p.keys[0], p.keys[b]]}
 
 
-def _break_one_encoded_join(monkeypatch, pair, result):
-    """Make cl._join_coords return the coordinates of result on the
-    encodings of pair alone."""
-    real, bad = cl._join_coords, tuple(cl._encode(t) for t in pair)
-    e = cl._encode(result)
-    monkeypatch.setattr(cl, "_join_coords", lambda e1, e2:
-                        (e[1], e[3]) if (e1, e2) == bad else real(e1, e2))
+def test_fiber_pairs_give_every_unordered_pair_once():
+    # the lattice and quotient suites check exactly the pairs this yields
+    R = [bytes(cl._right_sizes(cl.cut(t)))
+         for t in cli._poset("cycle", 5).objects]
+    got = []
+    for x, y, pairs in cli._fiber_pairs(R):
+        for a, b in pairs:
+            assert (R[a], R[b]) == (x, y)
+            got.append((min(a, b), max(a, b)))
+    assert sorted(got) == [(a, b) for a in range(70) for b in range(a, 70)]
 
 
 def test_verify_lattice_fails_on_a_wrong_join(monkeypatch):
+    # t's lift over its own cut reads as that of s, another element of its
+    # fiber; the bottom's lift there is the fiber's least element, so the
+    # join of the bottom and t reads as s
     p = cli._poset("cycle", 4)
-    lo, t = p.objects[0], p.objects[1]
-    _break_one_encoded_join(monkeypatch, (lo, t), lo)
+    t = p.objects[1]
+    e, real = cl._encode(t), cl._lifts
+    s = next(u for u in p.objects if u != t and cl._encode(u)[1] == e[1])
+    bad = real(cl._encode(s))[e[1]]
+    monkeypatch.setattr(cl, "_lifts", lambda f: {**real(f), e[1]: bad}
+                        if f == e else real(f))
     ok, lines, witness = cli.verify_lattice(4)
     assert not ok and lines == []
     assert witness == {"op": "join", "pair": [p.keys[0], p.keys[1]],
-                       "constructive": p.keys[0], "oracle": p.keys[1]}
+                       "constructive": s.key(), "oracle": p.keys[1]}
 
 
 def test_verify_lattice_fails_on_a_wrong_meet(monkeypatch):
-    # a meet is the reversed join of the reversals
+    # the oracle claims that the bottom meets t in t
     p = cli._poset("cycle", 4)
-    lo, t = p.objects[0], p.objects[1]
-    _break_one_encoded_join(monkeypatch, (gc.relabel_reverse(lo),
-                                          gc.relabel_reverse(t)),
-                            gc.relabel_reverse(t))
+    rows = [list(row) for row in p.meet_table]
+    rows[0][1] = rows[1][0] = 1
+    # the poset is frozen; the cached table lives in its __dict__
+    monkeypatch.setitem(p.__dict__, "meet_table", tuple(map(tuple, rows)))
     ok, lines, witness = cli.verify_lattice(4)
     assert not ok and lines == []
     assert witness == {"op": "meet", "pair": [p.keys[0], p.keys[1]],
-                       "constructive": p.keys[1], "oracle": p.keys[0]}
+                       "constructive": p.keys[0], "oracle": p.keys[1]}
+
+
+def test_verify_lattice_reports_a_join_above_neither_cut(monkeypatch,
+                                                         capsys):
+    # the join of two cuts above the bottom reads as the bottom, which lies
+    # above neither, so neither has a lift there: a witness, not a KeyError
+    p = cli._poset("cycle", 4)
+    real = cl._join_brackets
+    monkeypatch.setattr(cl, "_join_brackets", lambda r1, r2: real(r1, r2)
+                        if not any(r1) or not any(r2) else [0] * len(r1))
+    code, out, err = run(capsys, "verify", "--selector", "lattice", "--n", "4")
+    assert code == 1 and out == "FAIL lattice (n=4)\n"
+    assert json.loads(err)["counterexample"] == {
+        "op": "join", "pair": [p.keys[1], p.keys[1]], "oracle": p.keys[1],
+        "unlifted": [0] * 5}
 
 
 def test_verify_quotient_fails_when_cut_breaks_a_join(monkeypatch):

@@ -325,6 +325,22 @@ def test_lift_is_independent_of_the_chain():
                     {cl.lift(j, x).tube_masks}
 
 
+def test_lift_table_matches_the_walk_on_every_target():
+    # _lifts reaches each target by its own chain of rotations; it must hold
+    # every path tubing above the cut, each with the first-fit walk's word
+    for n in range(3, 8):
+        targets = [cl._right_sizes(x) for x in tubings("path", n)]
+        for j in tubings("cycle", n):
+            e = cl._encode(j)
+            above = [r for r in targets
+                     if all(a <= b for a, b in zip(e[1], r))]
+            table = cl._lifts(e)
+            assert table.keys() == {bytes(r) for r in above}
+            for r in above:
+                assert table[bytes(r)] == cl._positions(cl._lift(e, r),
+                                                        cl._root(r))
+
+
 def test_lift_requires_comparable_cut():
     c5 = graph("cycle", 5)
     hi = tl.relabel_reverse(tl.minimum_tubing(c5))

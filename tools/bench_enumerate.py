@@ -52,8 +52,10 @@ ORACLE_CASES = [(op, "cycle", n) for n in (7, 8)
                            "semidistributivity_witness", "mobius")]
 ORACLE_CASES.append(("verify_sdl", "cycle", 8))
 VERIFY_CASES = [("verify_lattice", "cycle", 5), ("verify_lattice", "cycle", 6),
+                ("verify_lattice", "cycle", 7),
                 ("verify_quotient", "cycle", 5),
                 ("verify_quotient", "cycle", 6),
+                ("verify_quotient", "cycle", 7),
                 ("verify_order", "cycle", 6), ("verify_order", "cycle", 7),
                 ("verify_selfdual", "cycle", 8),
                 ("verify_selfdual", "cycle", 9),
