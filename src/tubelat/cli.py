@@ -107,21 +107,24 @@ def _fiber_pairs(R):
             yield x, y, product(X, Y)
 
 
-def _join_failure(es, table):
-    """The first pair (a, b, r, pos) of the encodings es whose join by lifts
-    differs from table[a][b]: r joins the cuts, pos is the max of the two
-    lifts' positions over r, or None when r fails to lie above both cuts and
-    so a lift is missing. A pair compares (bracket vector, positions), which
-    determine a cycle tubing, with those of the table's element."""
+def _join_failure(es, coords):
+    """The first pair (a, b, z, r, pos) of the encodings es whose join by
+    lifts differs from z, the oracle's join, found by phi(a) & phi(b) in
+    coords: r joins the cuts, pos is the max of the two lifts' positions
+    over r, or None when r fails to lie above both cuts and so a lift is
+    missing. A pair compares (bracket vector, positions), which determine a
+    cycle tubing, with those of z."""
     lifts = [cl._lifts(e) for e in es]
     key = [(e[1], cl._positions(e[3], cl._root(e[1]))) for e in es]
+    at, masks = coords.at, coords.masks
     for x, y, pairs in _fiber_pairs([e[1] for e in es]):
         r = bytes(cl._join_brackets(x, y))
         for a, b in pairs:
             pa, pb = lifts[a].get(r), lifts[b].get(r)
             pos = None if pa is None or pb is None else bytes(map(max, pa, pb))
-            if (r, pos) != key[table[a][b]]:
-                return a, b, r, pos
+            z = at[masks[a] & masks[b]]
+            if (r, pos) != key[z]:
+                return a, b, z, r, pos
     return None
 
 
@@ -132,17 +135,17 @@ def verify_lattice(n: int):
         return False, [], witness
     elems = p.objects
     # a meet is the reversed join of the reversals, whose cuts an unlifted
-    # meet witness's vector joins
-    for op, es, table in (
-            ("join", [cl._encode(t) for t in elems], p.join_table),
+    # meet witness's vector joins; the oracle's meets are the dual's joins
+    for op, es, coords in (
+            ("join", [cl._encode(t) for t in elems], p.coords),
             ("meet", [cl._encode(gc.relabel_reverse(t)) for t in elems],
-             p.meet_table)):
-        bad = _join_failure(es, table)
+             p.dual.coords)):
+        bad = _join_failure(es, coords)
         if bad is None:
             continue
-        a, b, r, pos = bad
+        a, b, z, r, pos = bad
         witness = {"op": op, "pair": [p.keys[a], p.keys[b]],
-                   "oracle": p.keys[table[a][b]]}
+                   "oracle": p.keys[z]}
         if pos is None:
             witness["unlifted"] = list(r)
         else:
@@ -160,19 +163,20 @@ def verify_quotient(n: int):
     if witness is not None:
         return False, [], witness
     elems = p.objects
-    join = p.join_table
-    meet = p.meet_table
+    at, up = p.coords.at, p.coords.masks
+    dat, down = p.dual.coords.at, p.dual.coords.masks
     cuts = [cl.cut(t) for t in elems]
-    # the oracle tables stand for join_cycle/meet_cycle (verify_lattice
-    # checks that); a cut is determined by, and compared as, its bracket vector
+    # the oracle's joins and meets, read from the coordinates of p and of
+    # its dual, stand for join_cycle/meet_cycle (verify_lattice checks
+    # that); a cut is determined by, and compared as, its bracket vector
     R = [bytes(cl._right_sizes(x)) for x in cuts]
     for x, y, pairs in _fiber_pairs(R):
         rj, rm = bytes(cl._join_brackets(x, y)), bytes(map(min, x, y))
         for a, b in pairs:
-            if R[join[a][b]] != rj:
+            if R[at[up[a] & up[b]]] != rj:
                 return False, [], {"op": "join",
                                    "pair": [p.keys[a], p.keys[b]]}
-            if R[meet[a][b]] != rm:
+            if R[dat[down[a] & down[b]]] != rm:
                 return False, [], {"op": "meet",
                                    "pair": [p.keys[a], p.keys[b]]}
     graph_p = gc.make_graph(gc.PATH, n)

@@ -6,14 +6,15 @@ reads one coordinate map, FinitePoset.coords: phi(x) is the set of elements
 of Q above x, where Q holds the elements that are not the meet of their
 upper covers (in a lattice, the meet irreducibles). phi is an order
 embedding, so z is the join of a and b exactly when phi(z) == phi(a) &
-phi(b); the dual's map gives meets. On it rest the join and meet tables,
-the lattice test (N * |J| lookups), the Moebius function by Rota's crosscut
-theorem, and semidistributivity: a finite lattice is meet semidistributive
-exactly when every join irreducible j has a kappa, the class
-{x : j meet x = j_*} holding the join of its members, and join
-semidistributive when its dual is meet semidistributive.
-minimal_upper_bounds, brute_join and their duals stay as the reference
-definitions the tests hold these to. The remaining functions build the
+phi(b); the dual's map gives meets. On it rest the lattice test (N * |J|
+lookups), the Moebius function by Rota's crosscut theorem, and
+semidistributivity: a finite lattice is meet semidistributive exactly when
+every join irreducible j has a kappa, the class {x : j meet x = j_*}
+holding the join of its members, and join semidistributive when its dual
+is meet semidistributive. The N x N join and meet tables rest on the same
+map; only the tests and perfbench read them. minimal_upper_bounds,
+brute_join and their duals stay as the reference definitions the tests
+hold these to. The remaining functions build the
 structural apparatus of the cycle lattice: the grid of join irreducibles
 j(i, k), the kappa map onto meet irreducibles, the onto/into/forcing
 relations on join irreducibles, the congruence-uniformity check, and the
@@ -103,18 +104,6 @@ class FinitePoset:
                            tuple(tuple(p) for p in preds),  # filled in order
                            tuple(up), tuple(down), tuple(objects))
 
-    @staticmethod
-    def from_leq(keys, up_masks, objects=()) -> "FinitePoset":
-        n = len(keys)
-        covers = []
-        for i in range(n):
-            strict = up_masks[i] & ~(1 << i)
-            ups = [j for j in _bits(strict)
-                   if all(z == j or not (up_masks[z] & (1 << j))
-                          for z in _bits(strict))]
-            covers.append(tuple(sorted(ups)))
-        return FinitePoset.from_covers(keys, covers, objects)
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -128,10 +117,7 @@ class FinitePoset:
         return mins[0]
 
     def maximum(self) -> int:
-        maxs = [i for i in range(len(self)) if self.up[i] == (1 << i)]
-        if len(maxs) != 1:
-            raise ValueError("poset has no unique maximum")
-        return maxs[0]
+        return self.dual.minimum()
 
     @cached_property
     def coords(self) -> Coordinates:
@@ -171,7 +157,9 @@ class FinitePoset:
 
         One dict lookup of phi(a) & phi(b) in the coordinates finds the
         join. The table is symmetric: row a copies column a of the rows
-        before it and looks up only the entries with b >= a.
+        before it and looks up only the entries with b >= a. It and
+        meet_table serve the tests as references and perfbench's
+        oracle-cycle7 as a timed workload; everything else reads coords.
         """
         at, masks = self.coords.at.get, self.coords.masks
         rows: list[tuple[int, ...]] = []
@@ -224,12 +212,7 @@ def minimal_upper_bounds(p: FinitePoset, a: int, b: int) -> tuple[int, ...]:
 
 
 def maximal_lower_bounds(p: FinitePoset, a: int, b: int) -> tuple[int, ...]:
-    lb = p.down[a] & p.down[b]
-    out = []
-    for z in _bits(lb):
-        if p.up[z] & lb == 1 << z:
-            out.append(z)
-    return tuple(out)
+    return minimal_upper_bounds(p.dual, a, b)
 
 
 def brute_join(p: FinitePoset, a: int, b: int) -> int | None:
@@ -321,7 +304,7 @@ def join_irreducibles(p: FinitePoset) -> tuple[int, ...]:
 
 def meet_irreducibles(p: FinitePoset) -> tuple[int, ...]:
     """Indices of elements covered by exactly one element."""
-    return tuple(i for i in range(len(p)) if len(p.covers_up[i]) == 1)
+    return join_irreducibles(p.dual)
 
 
 # --- canonical join and meet irreducibles of the cycle lattice ---------------
@@ -501,17 +484,20 @@ def check_congruence_uniform(n: int) -> bool:
     return relation_acyclic(fs.universe, fs.arrows_force)
 
 
-def _kappas_exist(p: FinitePoset) -> bool:
-    """True when the lattice p satisfies the meet semidistributive law.
+def _kappa_failure(p: FinitePoset) -> tuple[int, int, int] | None:
+    """A triple (j, x, y) breaking the meet semidistributive law, if any.
 
     A finite lattice is meet semidistributive exactly when every join
     irreducible j, with lower cover j_*, has a kappa: the class
     {x : j meet x = j_*}, which is the x above j_* and not above j, holds
     the join of its members. phi of that join is the set of q in Q above
     the whole class, and the join is above j exactly when its phi is a
-    subset of phi(j). Cost: |J| * |Q| mask operations.
+    subset of phi(j). Cost when every kappa exists: |J| * |Q| mask
+    operations. For the first j without one, the members are folded by
+    joins: the first y whose join with the running join x lies above j
+    gives j meet x = j meet y = j_* and j meet (x join y) = j.
     """
-    irreducibles, masks = p.coords.irreducibles, p.coords.masks
+    irreducibles, masks, at = p.coords
     up, down = p.up, p.down
     for j in p.dual.coords.irreducibles:
         members = up[p.covers_down[j][0]] & ~up[j]
@@ -519,39 +505,32 @@ def _kappas_exist(p: FinitePoset) -> bool:
         for r, q in enumerate(irreducibles):
             if members & ~down[q] == 0:
                 top |= 1 << r
-        if top & ~masks[j] == 0:
-            return False
-    return True
+        if top & ~masks[j]:
+            continue
+        bits = _bits(members)
+        x = next(bits)
+        for y in bits:
+            m = masks[x] & masks[y]
+            if m & ~masks[j] == 0:
+                return j, x, y
+            x = at[m]
+    return None
 
 
 def semidistributivity_witness(p: FinitePoset) -> dict | None:
     """A triple violating one of the two semidistributive laws, if any.
 
-    The meet law is decided by kappa existence (_kappas_exist), the join
-    law by the same test on the dual. Only a violated law pays for the
-    tables and the triple scan, which returns the first violating triple
-    in (x, y, z) order.
+    The meet law is checked first, by _kappa_failure on p; the join law
+    by the same on the dual. The triple (j, x, y) comes from the first
+    join irreducible j without a kappa, and j meet x = j meet y while
+    j meet (x join y) differs, or the dual for the join law.
     """
     if not is_lattice(p):
         raise ValueError("semidistributivity is only defined for lattices")
-    if _kappas_exist(p) and _kappas_exist(p.dual):
-        return None
-    join = p.join_table
-    meet = p.meet_table
-    n = len(p)
-    for x in range(n):
-        mrow = meet[x]
-        jrow = join[x]
-        for y in range(n):
-            mxy = mrow[y]
-            jxy = jrow[y]
-            for z in range(n):
-                if mrow[z] == mxy and mrow[join[y][z]] != mxy:
-                    return {"law": "meet", "triple": [p.keys[x], p.keys[y],
-                                                      p.keys[z]]}
-                if jrow[z] == jxy and jrow[meet[y][z]] != jxy:
-                    return {"law": "join", "triple": [p.keys[x], p.keys[y],
-                                                      p.keys[z]]}
+    for q, law in ((p, "meet"), (p.dual, "join")):
+        bad = _kappa_failure(q)
+        if bad is not None:
+            return {"law": law, "triple": [p.keys[i] for i in bad]}
     return None
 
 

@@ -41,6 +41,26 @@ def poset(kind: str, n: int) -> la.FinitePoset:
     return la.build_poset(graph(kind, n))
 
 
+def poset_from_leq(keys, up_masks, objects=()):
+    """The poset whose up-set masks are up_masks: the covers of i are the
+    j strictly above it with no z strictly between."""
+    n = len(keys)
+    covers = []
+    for i in range(n):
+        strict = up_masks[i] & ~(1 << i)
+        ups = [j for j in la._bits(strict)
+               if all(z == j or not (up_masks[z] & (1 << j))
+                      for z in la._bits(strict))]
+        covers.append(tuple(sorted(ups)))
+    return la.FinitePoset.from_covers(keys, covers, objects)
+
+
+def diamond():
+    # M3: minimum, three middle atoms, maximum
+    return la.FinitePoset.from_covers(
+        ["0", "a", "b", "c", "1"], [(1, 2, 3), (4,), (4,), (4,), ()])
+
+
 def oracle_flip_replacements(g, t, xmask):
     """Every tube y != x making (t minus x) plus y a maximal tubing."""
     out = []

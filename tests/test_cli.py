@@ -12,7 +12,7 @@ from tubelat import cycle_lattice as cl
 from tubelat import graph_core as gc
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
-from helpers import graph, load_fixture, search_tree_tubing
+from helpers import diamond, graph, load_fixture, search_tree_tubing
 
 
 def run(capsys, *argv):
@@ -425,17 +425,44 @@ def test_verify_lattice_fails_on_a_wrong_join(monkeypatch):
                        "constructive": s.key(), "oracle": p.keys[1]}
 
 
+def misread_bottom_meets(monkeypatch, p):
+    """Make the oracle read every meet that is the bottom, element 0, as
+    the top: the dual's coordinate map sends phi(bottom) to the top. The
+    poset is frozen; the cached coordinates live in the dual's __dict__."""
+    real = p.dual.coords
+    at = {**real.at, real.masks[0]: len(p) - 1}
+    monkeypatch.setitem(p.dual.__dict__, "coords", real._replace(at=at))
+
+
 def test_verify_lattice_fails_on_a_wrong_meet(monkeypatch):
-    # the oracle claims that the bottom meets t in t
+    # the bottom's meet with itself, the first pair of the meet pass
     p = cli._poset("cycle", 4)
-    rows = [list(row) for row in p.meet_table]
-    rows[0][1] = rows[1][0] = 1
-    # the poset is frozen; the cached table lives in its __dict__
-    monkeypatch.setitem(p.__dict__, "meet_table", tuple(map(tuple, rows)))
+    misread_bottom_meets(monkeypatch, p)
     ok, lines, witness = cli.verify_lattice(4)
     assert not ok and lines == []
-    assert witness == {"op": "meet", "pair": [p.keys[0], p.keys[1]],
-                       "constructive": p.keys[0], "oracle": p.keys[1]}
+    assert witness == {"op": "meet", "pair": [p.keys[0], p.keys[0]],
+                       "constructive": p.keys[0], "oracle": p.keys[-1]}
+
+
+def test_verify_quotient_fails_on_a_wrong_meet(monkeypatch):
+    # the top's cut is not the bottom's, so the bottom's meet with itself
+    # breaks the cut's meet
+    p = cli._poset("cycle", 4)
+    misread_bottom_meets(monkeypatch, p)
+    assert cli.verify_quotient(4) == (False, [], {
+        "op": "meet", "pair": [p.keys[0], p.keys[0]]})
+
+
+def test_verify_sdl_fails_on_m3(monkeypatch, capsys):
+    m3 = diamond()
+    monkeypatch.setattr(cli, "_poset", lambda kind, n: m3)
+    code, out, err = run(capsys, "verify", "--selector", "sdl", "--n", "4")
+    assert code == 1 and out == "FAIL sdl (n=4)\n"
+    witness = json.loads(err)["counterexample"]
+    assert witness["law"] == "meet"
+    x, y, z = map(m3.keys.index, witness["triple"])
+    meet, join = m3.meet_table, m3.join_table
+    assert meet[x][y] == meet[x][z] != meet[x][join[y][z]]
 
 
 def test_verify_lattice_reports_a_join_above_neither_cut(monkeypatch,

@@ -6,10 +6,12 @@ import tracemalloc
 import pytest
 
 import tubelat as tl
+from tubelat import cli
 from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
-from helpers import graph, oracle_mobius, orthogonal_pair, poset, tubings
+from helpers import (diamond, graph, oracle_mobius, orthogonal_pair, poset,
+                     poset_from_leq, tubings)
 
 
 def ji_tubing(n, i, k):
@@ -64,12 +66,6 @@ def test_build_poset_refuses_before_enumerating_past_the_cap():
     finally:
         tracemalloc.stop()
     assert elapsed < 2 and peak < 4 * 2 ** 20
-
-
-def diamond():
-    # minimum, three middle atoms, maximum
-    return la.FinitePoset.from_covers(
-        ["0", "a", "b", "c", "1"], [(1, 2, 3), (4,), (4,), (4,), ()])
 
 
 def boolean_square():
@@ -159,8 +155,17 @@ def test_lattice_failure_matches_the_bound_scan():
 
 
 def test_lattice_failure_builds_no_table():
-    for p in (two_tops(), vee().dual, la.build_poset(graph("cycle", 4))):
+    # nor do the SD witness, passing or failing on either law, and the
+    # lattice and quotient suites
+    checked = [two_tops(), vee().dual, la.build_poset(graph("cycle", 4))]
+    for p in checked:
         la.lattice_failure(p)
+    lattices = [la.build_poset(graph("cycle", 5)), diamond(), meet_sd_only()]
+    for p in lattices:
+        la.semidistributivity_witness(p)
+    cli._poset.cache_clear()
+    assert cli.verify_lattice(5)[0] and cli.verify_quotient(5)[0]
+    for p in checked + lattices + [cli._poset("cycle", 5)]:
         assert not {"join_table", "meet_table"} & p.__dict__.keys()
         assert not {"join_table", "meet_table"} & p.dual.__dict__.keys()
 
@@ -218,7 +223,7 @@ def relabeled(rng, up):
     masks = [0] * n
     for i in range(n):
         masks[perm[i]] = sum(1 << perm[j] for j in la._bits(up[i]))
-    return la.FinitePoset.from_leq([str(i) for i in range(n)], masks)
+    return poset_from_leq([str(i) for i in range(n)], masks)
 
 
 def test_oracle_matches_the_references_on_random_posets():
@@ -242,8 +247,7 @@ def test_oracle_matches_the_references_on_random_posets():
         failure = bound_scan_failure(p)
         assert la.lattice_failure(p) == failure
         if failure is None:
-            witness = triple_scan_witness(p)
-            assert la.semidistributivity_witness(p) == witness
+            witness = check_sd_witness(p)
             counts["sd" if witness is None else "not_sd"] += 1
         else:
             counts["non_lattice"] += 1
@@ -516,20 +520,38 @@ def test_cycle_lattices_are_semidistributive():
         assert la.check_semidistributive(poset("cycle", n))
 
 
-def triple_scan_witness(p):
-    """The first (x, y, z) violating a semidistributive law, by brute force."""
+def triple_scan_witness(p, laws=("meet", "join")):
+    """The first (x, y, z) violating one of the semidistributive laws
+    named in laws, the meet law first on each triple, by brute force."""
     join, meet, n = p.join_table, p.meet_table, len(p)
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 triple = [p.keys[x], p.keys[y], p.keys[z]]
-                if (meet[x][z] == meet[x][y]
+                if ("meet" in laws and meet[x][z] == meet[x][y]
                         and meet[x][join[y][z]] != meet[x][y]):
                     return {"law": "meet", "triple": triple}
-                if (join[x][z] == join[x][y]
+                if ("join" in laws and join[x][z] == join[x][y]
                         and join[x][meet[y][z]] != join[x][y]):
                     return {"law": "join", "triple": triple}
     return None
+
+
+def check_sd_witness(p):
+    """semidistributivity_witness(p), held to the triple scan: None exactly
+    when the scan finds no triple; otherwise a triple that breaks its named
+    law under the tables, and the meet law whenever that law fails."""
+    got = la.semidistributivity_witness(p)
+    assert (got is None) == (triple_scan_witness(p) is None)
+    if got is not None:
+        index = {key: i for i, key in enumerate(p.keys)}
+        x, y, z = (index[key] for key in got["triple"])
+        op, co = ((p.meet_table, p.join_table) if got["law"] == "meet"
+                  else (p.join_table, p.meet_table))
+        assert op[x][z] == op[x][y] and op[x][co[y][z]] != op[x][y]
+        assert (got["law"] == "meet"
+                or triple_scan_witness(p, ("meet",)) is None)
+    return got
 
 
 def test_semidistributivity_matches_the_triple_scan():
@@ -537,13 +559,17 @@ def test_semidistributivity_matches_the_triple_scan():
                 for n in (3, 4, 5)]
     for p in lattices + [diamond(), boolean_square(), pentagon(),
                          meet_sd_only(), meet_sd_only().dual]:
-        want = triple_scan_witness(p)
-        assert la.semidistributivity_witness(p) == want
-        assert la.check_semidistributive(p) == (want is None)
+        got = check_sd_witness(p)
+        assert la.check_semidistributive(p) == (got is None)
     assert triple_scan_witness(pentagon()) is None
     assert triple_scan_witness(diamond()) is not None
     assert triple_scan_witness(meet_sd_only())["law"] == "join"
     assert triple_scan_witness(meet_sd_only().dual)["law"] == "meet"
+    # a meets b and c in 0, and b v c = 1
+    assert la.semidistributivity_witness(diamond()) == {
+        "law": "meet", "triple": ["a", "b", "c"]}
+    assert la.semidistributivity_witness(meet_sd_only())["law"] == "join"
+    assert la.semidistributivity_witness(meet_sd_only().dual)["law"] == "meet"
 
 
 def test_semidistributivity_matches_kappa_existence():
@@ -690,7 +716,7 @@ def test_pairs_lattice_covers_match_the_containment_order():
         pl = la.pairs_lattice(n)
         sets = pl.objects
         up = [sum(1 << j for j, y in enumerate(sets) if x <= y) for x in sets]
-        want = la.FinitePoset.from_leq(pl.keys, up, sets)
+        want = poset_from_leq(pl.keys, up, sets)
         assert pl == want
 
 
