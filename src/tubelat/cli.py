@@ -20,8 +20,8 @@ from . import gtree as gt
 from . import lattice_analysis as la
 
 ENUM_CAPS = {"path": 12, "cycle": 11, "complete": 8}
-VERIFY_CAPS = {"lattice": 7, "order": 6, "quotient": 7, "sdl": 8, "cu": 12,
-               "mobius": 7, "ji": 12, "selfdual": 8, "regular": 8, "pairs": 5}
+VERIFY_CAPS = {"lattice": 7, "order": 9, "quotient": 9, "sdl": 9, "cu": 12,
+               "mobius": 9, "ji": 12, "selfdual": 9, "regular": 9, "pairs": 5}
 FIBER_CAP = math.comb(16, 8)  # words; every fiber of a path with n <= 17 fits
 FORCING_CAP = 16  # the relations take O(n^4) pair tests: 0.4 s at n = 16
 SELECTORS = ("lattice", "order", "quotient", "sdl", "cu", "mobius", "ji",
@@ -53,16 +53,25 @@ def verify_order(n: int):
     graph = gc.make_graph(gc.CYCLE, n)
     p = _poset(gc.CYCLE, n)
     elems = p.objects
-    # leq_cycle(ta, tb) is inv(ta) & coinv(tb) == 0; read the masks once
+    # a <= b exactly when inv(a) misses coinv(b): with B[e] the elements
+    # whose coinv holds pair e, the row of a is the complement of the OR of
+    # B[e] over e in inv(a), which must equal up[a]
     masks = [gt.inversion_masks(t) for t in elems]
+    B = [0] * (n * (n - 1) // 2)
+    for b, (_, coinv) in enumerate(masks):
+        for e in la._bits(coinv):
+            B[e] |= 1 << b
+    full = (1 << len(p)) - 1
     for a, (inv, _) in enumerate(masks):
-        row = format(p.up[a], f"0{len(p)}b")[::-1]  # row[b] is 1 when a <= b
-        for b, (_, coinv) in enumerate(masks):
-            want = row[b] == "1"
-            got = inv & coinv == 0
-            if want != got:
-                return False, [], {"pair": [p.keys[a], p.keys[b]],
-                                   "closure": want, "inversion_test": got}
+        m = 0
+        for e in la._bits(inv):
+            m |= B[e]
+        diff = p.up[a] ^ (full & ~m)
+        if diff:
+            b = (diff & -diff).bit_length() - 1  # the first pair that differs
+            return False, [], {"pair": [p.keys[a], p.keys[b]],
+                               "closure": p.leq(a, b),
+                               "inversion_test": not m >> b & 1}
     # tree encodings round-trip and tree moves realize exactly the covers;
     # a rebuilt tubing is checked by equality with one the program trusts
     pairs = {(i, j) for j in range(2, n + 1) for i in range(1, j)}
@@ -162,26 +171,52 @@ def verify_quotient(n: int):
     witness = la.lattice_failure(p)
     if witness is not None:
         return False, [], witness
-    elems = p.objects
-    at, up = p.coords.at, p.coords.masks
-    dat, down = p.dual.coords.at, p.dual.coords.masks
+    elems, up, down, keys = p.objects, p.up, p.down, p.keys
+    q = _poset(gc.PATH, n)
+    # cut is a lattice quotient map onto the path lattice when its fibers
+    # are intervals [low, high] with x -> low and x -> high order-preserving
+    # (a congruence, by Chajda and Snasel), and when it maps the fibers one
+    # to one onto the path tubings, order-preserving with an order-preserving
+    # inverse x -> low; a map is order-preserving when it is on covers
     cuts = [cl.cut(t) for t in elems]
-    # the oracle's joins and meets, read from the coordinates of p and of
-    # its dual, stand for join_cycle/meet_cycle (verify_lattice checks
-    # that); a cut is determined by, and compared as, its bracket vector
-    R = [bytes(cl._right_sizes(x)) for x in cuts]
-    for x, y, pairs in _fiber_pairs(R):
-        rj, rm = bytes(cl._join_brackets(x, y)), bytes(map(min, x, y))
-        for a, b in pairs:
-            if R[at[up[a] & up[b]]] != rj:
-                return False, [], {"op": "join",
-                                   "pair": [p.keys[a], p.keys[b]]}
-            if R[dat[down[a] & down[b]]] != rm:
-                return False, [], {"op": "meet",
-                                   "pair": [p.keys[a], p.keys[b]]}
-    graph_p = gc.make_graph(gc.PATH, n)
+    fibers = {}
+    for a, x in enumerate(cuts):
+        fibers.setdefault(x.tube_masks, []).append(a)
+    low, high = [0] * len(p), [0] * len(p)
+    for F in fibers.values():
+        bot = max(F, key=lambda a: up[a].bit_count())
+        top = max(F, key=lambda a: down[a].bit_count())
+        stray = sum(1 << a for a in F) ^ (up[bot] & down[top])
+        if stray:
+            z = (stray & -stray).bit_length() - 1
+            return False, [], {"fiber_not_interval": [keys[bot], keys[top]],
+                               "element": keys[z]}
+        for a in F:
+            low[a], high[a] = bot, top
+    index = {x.tube_masks: i for i, x in enumerate(q.objects)}
+    if fibers.keys() != index.keys():
+        return False, [], {
+            "cut_off_the_path": [keys[F[0]] for m, F in fibers.items()
+                                 if m not in index],
+            "empty_fibers": [q.keys[i] for m, i in index.items()
+                             if m not in fibers]}
+    at = [index[x.tube_masks] for x in cuts]
+    for a, ups in enumerate(p.covers_up):
+        for c in ups:
+            for name, ok in (("low", p.leq(low[a], low[c])),
+                             ("high", p.leq(high[a], high[c])),
+                             ("cut", q.leq(at[a], at[c]))):
+                if not ok:
+                    return False, [], {"not_monotone": name,
+                                       "cover": [keys[a], keys[c]]}
+    bottom = [low[fibers[x.tube_masks][0]] for x in q.objects]
+    for x, ups in enumerate(q.covers_up):
+        for y in ups:
+            if not p.leq(bottom[x], bottom[y]):
+                return False, [], {"path_cover_not_lifted": [q.keys[x],
+                                                             q.keys[y]]}
     total = 0
-    for x in gc.enumerate_maximal_tubings(graph_p):
+    for x in q.objects:
         words = cl.fiber_words(x)
         if len(words) != cl.fiber_size(x):
             return False, [], {"fiber_size_mismatch": x.key()}
@@ -282,7 +317,7 @@ def verify_ji(n: int):
         return False, [], {"kappa_not_bijective": n}
     lines = [f"ji: {(n - 1) ** 2} canonical trees distinct, single-descent, "
              f"inversions match the closed form, chains saturated (n={n})"]
-    if n <= 7:
+    if n <= 9:
         p = _poset(gc.CYCLE, n)
         ji_idx = la.join_irreducibles(p)
         got = {p.objects[i].tube_masks for i in ji_idx}
@@ -315,10 +350,13 @@ def verify_selfdual(n: int):
              f"(n={n})"]
     if n <= 6:
         for a in range(len(p)):
-            for b in range(len(p)):
-                if p.leq(a, b) != p.leq(rev[b], rev[a]):
-                    return False, [], {"order_not_reversed": [p.keys[a],
-                                                              p.keys[b]]}
+            # b is above a exactly when rev[b] is below rev[a]
+            diff = (sum(1 << rev[c] for c in la._bits(p.up[a]))
+                    ^ p.down[rev[a]])
+            if diff:
+                b = min(rev[c] for c in la._bits(diff))
+                return False, [], {"order_not_reversed": [p.keys[a],
+                                                          p.keys[b]]}
         lines.append(f"selfdual: full order reversal checked on all pairs "
                      f"(n={n})")
     return True, lines, None
@@ -349,22 +387,19 @@ def verify_pairs(n: int):
     ji_list = [(la.JiIndex(i, k),
                 index[gt.tubing_of(graph, la.canonical_ji(n, i, k)).tube_masks])
                for i in range(1, n) for k in range(1, n)]
-    downsets = {idx: frozenset(ji for ji, j in ji_list if p.leq(j, idx))
-                for idx in range(len(p))}
     by_set = {frozenset(s): i for i, s in enumerate(pl.objects)}
     if len(by_set) != len(pl):
         return False, [], {"pairs_objects_not_distinct": n}
-    image = {}
-    for idx, ds in downsets.items():
-        if ds not in by_set:
-            return False, [], {"downset_missing": p.keys[idx]}
-        image[idx] = by_set[ds]
-    if len(set(image.values())) != len(p):
+    image = [by_set.get(frozenset(ji for ji, j in ji_list if p.leq(j, a)))
+             for a in range(len(p))]
+    if None in image:
+        return False, [], {"downset_missing": p.keys[image.index(None)]}
+    if len(set(image)) != len(p):
         return False, [], {"not_bijective": n}
-    for a in range(len(p)):
-        for b in range(len(p)):
-            if p.leq(a, b) != pl.leq(image[a], image[b]):
-                return False, [], {"order_mismatch": [p.keys[a], p.keys[b]]}
+    # a bijection that maps the covers onto the covers is an isomorphism
+    for a, ups in enumerate(p.covers_up):
+        if {image[c] for c in ups} != set(pl.covers_up[image[a]]):
+            return False, [], {"cover_mismatch": p.keys[a]}
     return True, [f"pairs: maximal orthogonal pairs rebuild the lattice, "
                   f"{expect} elements (n={n})"], None
 

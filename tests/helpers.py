@@ -4,7 +4,9 @@ The oracles here deliberately avoid the production code paths they check:
 flip replacements are found by exhaustive search over all tubes, maximality
 by literal extension search, order relations by breadth-first closure of
 the cover predicate evaluated on every ordered pair, and the Moebius
-function by the zeta recursion.
+function by the zeta recursion. The order, quotient, selfdual and pairs
+verify suites prove their statements from rows and covers; the loops over
+all pairs that they replaced stay here as their oracles.
 """
 
 import itertools
@@ -15,7 +17,10 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import tubelat as tl
+from tubelat import cli
+from tubelat import cycle_lattice as cl
 from tubelat import graph_core as gc
+from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -296,3 +301,69 @@ def search_tree_tubing(kind: str, n: int, choose):
 def search_tree_tubings(draw, kind: str, n: int):
     """Hypothesis strategy over the tubings of search_tree_tubing."""
     return search_tree_tubing(kind, n, lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+# --- the verify suites' statements, checked on all pairs ---------------------
+
+def order_pair_failure(p):
+    """verify_order's pair half on every ordered pair of the cycle poset p:
+    a <= b exactly when inv(a) misses coinv(b). The first pair that breaks
+    it, as the suite names it, or None."""
+    masks = [gt.inversion_masks(t) for t in p.objects]
+    for a, (inv, _) in enumerate(masks):
+        for b, (_, coinv) in enumerate(masks):
+            want, got = p.leq(a, b), inv & coinv == 0
+            if want != got:
+                return {"pair": [p.keys[a], p.keys[b]], "closure": want,
+                        "inversion_test": got}
+    return None
+
+
+def quotient_pair_failure(p):
+    """cut(a v b) == cut(a) v cut(b) and cut(a ^ b) == cut(a) ^ cut(b) on
+    every unordered pair of the cycle lattice p, the cuts compared by
+    bracket vectors and the lattice's joins and meets read from its
+    coordinates. The first op and pair that fail, or None."""
+    at, up = p.coords.at, p.coords.masks
+    dat, down = p.dual.coords.at, p.dual.coords.masks
+    R = [bytes(cl._right_sizes(cl.cut(t))) for t in p.objects]
+    for x, y, pairs in cli._fiber_pairs(R):
+        rj, rm = bytes(cl._join_brackets(x, y)), bytes(map(min, x, y))
+        for a, b in pairs:
+            if R[at[up[a] & up[b]]] != rj:
+                return {"op": "join", "pair": [p.keys[a], p.keys[b]]}
+            if R[dat[down[a] & down[b]]] != rm:
+                return {"op": "meet", "pair": [p.keys[a], p.keys[b]]}
+    return None
+
+
+def selfdual_pair_failure(p):
+    """Reversal reverses the order of the cycle poset p on every ordered
+    pair: a <= b exactly when rev(b) <= rev(a). The first pair that breaks
+    it, as the suite names it, or None."""
+    index = {t.tube_masks: i for i, t in enumerate(p.objects)}
+    rev = [index[gc.relabel_reverse(t).tube_masks] for t in p.objects]
+    for a in range(len(p)):
+        for b in range(len(p)):
+            if p.leq(a, b) != p.leq(rev[b], rev[a]):
+                return {"order_not_reversed": [p.keys[a], p.keys[b]]}
+    return None
+
+
+def pairs_order_failure(n):
+    """The cycle lattice at n and the pairs lattice ordered alike on every
+    ordered pair, an element sent to the pair of the join irreducibles
+    below it. The first pair that breaks it, or None."""
+    p, pl = cli._poset("cycle", n), la.pairs_lattice(n)
+    index = {t.tube_masks: i for i, t in enumerate(p.objects)}
+    grid = {la.JiIndex(i, k): index[tl.tubing_of(
+        graph("cycle", n), la.canonical_ji(n, i, k)).tube_masks]
+        for i in range(1, n) for k in range(1, n)}
+    by_set = {s: z for z, s in enumerate(pl.objects)}
+    image = [by_set[frozenset(ji for ji, j in grid.items() if p.leq(j, a))]
+             for a in range(len(p))]
+    for a in range(len(p)):
+        for b in range(len(p)):
+            if p.leq(a, b) != pl.leq(image[a], image[b]):
+                return {"order_mismatch": [p.keys[a], p.keys[b]]}
+    return None

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -12,7 +15,9 @@ from tubelat import cycle_lattice as cl
 from tubelat import graph_core as gc
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
-from helpers import diamond, graph, load_fixture, search_tree_tubing
+from helpers import (diamond, graph, load_fixture, order_pair_failure,
+                     pairs_order_failure, quotient_pair_failure,
+                     search_tree_tubing, selfdual_pair_failure)
 
 
 def run(capsys, *argv):
@@ -319,14 +324,12 @@ def test_verify_selectors(capsys):
     assert code == 0 and "PASS ji" in out
     code, out, _ = run(capsys, "verify", "--selector", "lattice", "--n", "3")
     assert code == 0
-    code, _, err = run(capsys, "verify", "--selector", "sdl", "--n", "9")
-    assert code == 3 and "cap" in err
-    code, out, err = run(capsys, "verify", "--selector", "quotient",
-                         "--n", "8")
-    assert code == 3 and out == "" and "quotient is n <= 7" in err
-    code, out, err = run(capsys, "verify", "--selector", "lattice",
-                         "--n", "8")
-    assert code == 3 and out == "" and "lattice is n <= 7" in err
+    for selector, cap in (("lattice", 7), ("order", 9), ("quotient", 9),
+                          ("sdl", 9), ("selfdual", 9), ("regular", 9),
+                          ("pairs", 5)):
+        code, out, err = run(capsys, "verify", "--selector", selector,
+                             "--n", str(cap + 1))
+        assert code == 3 and out == "" and f"{selector} is n <= {cap}" in err
     code, out, _ = run(capsys, "verify", "--selector", "sdl", "--n", "6")
     assert code == 0 and out == ("PASS sdl (n=6)\n  sdl: both "
                                  "semidistributive laws hold on all triples "
@@ -337,8 +340,9 @@ def test_verify_mobius_cap(capsys):
     code, out, _ = run(capsys, "verify", "--selector", "mobius", "--n", "7")
     assert code == 0 and out == ("PASS mobius (n=7)\n  mobius: all values "
                                  "lie in -1..1 on 924 elements (n=7)\n")
-    code, _, err = run(capsys, "verify", "--selector", "mobius", "--n", "8")
-    assert code == 3 and "cap" in err
+    code, out, err = run(capsys, "verify", "--selector", "mobius",
+                         "--n", "10")
+    assert code == 3 and out == "" and "mobius is n <= 9" in err
 
 
 def test_verify_all_runs_every_suite(capsys):
@@ -397,7 +401,8 @@ def test_verify_selfdual_fails_when_reversal_keeps_the_order(monkeypatch):
 
 
 def test_fiber_pairs_give_every_unordered_pair_once():
-    # the lattice and quotient suites check exactly the pairs this yields
+    # the lattice suite and the quotient's pair oracle check exactly the
+    # pairs this yields
     R = [bytes(cl._right_sizes(cl.cut(t)))
          for t in cli._poset("cycle", 5).objects]
     got = []
@@ -444,15 +449,6 @@ def test_verify_lattice_fails_on_a_wrong_meet(monkeypatch):
                        "constructive": p.keys[0], "oracle": p.keys[-1]}
 
 
-def test_verify_quotient_fails_on_a_wrong_meet(monkeypatch):
-    # the top's cut is not the bottom's, so the bottom's meet with itself
-    # breaks the cut's meet
-    p = cli._poset("cycle", 4)
-    misread_bottom_meets(monkeypatch, p)
-    assert cli.verify_quotient(4) == (False, [], {
-        "op": "meet", "pair": [p.keys[0], p.keys[0]]})
-
-
 def test_verify_sdl_fails_on_m3(monkeypatch, capsys):
     m3 = diamond()
     monkeypatch.setattr(cli, "_poset", lambda kind, n: m3)
@@ -480,15 +476,178 @@ def test_verify_lattice_reports_a_join_above_neither_cut(monkeypatch,
         "unlifted": [0] * 5}
 
 
-def test_verify_quotient_fails_when_cut_breaks_a_join(monkeypatch):
-    # the suite joins the cuts' bracket vectors; break it as a reversed
-    # join_path would
+def cut_sending(monkeypatch, send):
+    """Replace cut(t) by send(t, cut(t)), a path tubing."""
+    real = cl.cut
+    monkeypatch.setattr(cl, "cut", lambda t: send(t, real(t)))
+
+
+def test_verify_quotient_fails_when_two_fibers_merge(monkeypatch):
+    # the top's fiber cuts to the bottom's path tubing: the merged fiber
+    # has bottom 0 and top 19 but is not the whole interval between them,
+    # element 1, an upper cover of the bottom, being in neither fiber
     p = cli._poset("cycle", 4)
-    real, path = cl._join_brackets, gc.make_graph(gc.PATH, 4)
-    monkeypatch.setattr(cl, "_join_brackets", lambda r1, r2: cl._right_sizes(
-        gc.relabel_reverse(cl._path_tubing(path, real(r1, r2)))))
+    bottom, top, one = (cl.cut(p.objects[i]) for i in (0, -1, 1))
+    assert one not in (bottom, top)
+    with monkeypatch.context() as m:
+        cut_sending(m, lambda t, x: bottom if x == top else x)
+        assert cli.verify_quotient(4) == (False, [], {
+            "fiber_not_interval": [p.keys[0], p.keys[-1]],
+            "element": p.keys[1]})
+        assert quotient_pair_failure(p) is not None
+    # the fiber of element 1 merged into the bottom's is still an interval,
+    # [0, 14], but the path tubing it cut to has lost its fiber
+    cut_sending(monkeypatch, lambda t, x: bottom if x == one else x)
     assert cli.verify_quotient(4) == (False, [], {
-        "op": "join", "pair": [p.keys[0], p.keys[0]]})
+        "cut_off_the_path": [], "empty_fibers": [one.key()]})
+    assert quotient_pair_failure(p) is not None
+
+
+def test_verify_quotient_fails_when_an_element_moves_fiber(monkeypatch):
+    # elements 1, 2 and 3 are the upper covers of the bottom, 0
+    p = cli._poset("cycle", 4)
+    assert p.covers_up[0] == (1, 2, 3) and 1 in p.covers_down[6]
+    cuts = [cl.cut(t) for t in p.objects]
+    # 1 joins the bottom's fiber, which becomes the interval [0, 1]; its
+    # top 1 is not below 2, the top of the fiber of the cover 0 < 2, so
+    # x -> high breaks
+    with monkeypatch.context() as m:
+        cut_sending(m, lambda t, x: cuts[0] if t is p.objects[1] else x)
+        assert cli.verify_quotient(4) == (False, [], {
+            "not_monotone": "high", "cover": [p.keys[0], p.keys[2]]})
+        assert quotient_pair_failure(p) is not None
+    # 6 joins the fiber of its lower cover 3, which becomes the interval
+    # [3, 6]; the bottom of the fiber of 1 is 1, which is not below 3, so
+    # x -> low breaks on the cover 1 < 6
+    cut_sending(monkeypatch, lambda t, x: cuts[3] if t is p.objects[6] else x)
+    assert cli.verify_quotient(4) == (False, [], {
+        "not_monotone": "low", "cover": [p.keys[1], p.keys[6]]})
+    assert quotient_pair_failure(p) is not None
+
+
+def test_verify_quotient_fails_when_fiber_labels_swap(monkeypatch):
+    # the bottom's and the top's fibers trade path tubings, so every fiber
+    # is still an interval but the bottom now cuts to the path's top, which
+    # is not below the cut of its upper cover 1
+    p = cli._poset("cycle", 4)
+    bottom, top = cl.cut(p.objects[0]), cl.cut(p.objects[-1])
+    cut_sending(monkeypatch, lambda t, x: top if x == bottom
+                else bottom if x == top else x)
+    assert cli.verify_quotient(4) == (False, [], {
+        "not_monotone": "cut", "cover": [p.keys[0], p.keys[1]]})
+    assert quotient_pair_failure(p) is not None
+
+
+def test_verify_quotient_fails_when_the_path_order_gains_a_cover(
+        monkeypatch):
+    # two upper covers of the path's bottom become comparable in the path
+    # poset; cut stays order-preserving, but the bottoms of their fibers
+    # are not comparable in the cycle lattice
+    real = cli._poset
+    path = real("path", 4)
+    x, y = path.covers_up[0][:2]
+    covers = [c + (y,) if i == x else c for i, c in enumerate(path.covers_up)]
+    q = la.FinitePoset.from_covers(path.keys, covers, path.objects)
+    monkeypatch.setattr(cli, "_poset", lambda kind, n: q if kind == "path"
+                        else real(kind, n))
+    assert cli.verify_quotient(4) == (False, [], {
+        "path_cover_not_lifted": [q.keys[x], q.keys[y]]})
+
+
+def test_verify_quotient_rejects_every_perturbed_partition(monkeypatch):
+    # at n = 4: any two of the 14 fibers merged, any two fibers' path
+    # tubings swapped, any element moved to the fiber of a cover; the pair
+    # oracle agrees
+    p = cli._poset("cycle", 4)
+    cuts = [cl.cut(t) for t in p.objects]
+    labels = list(dict.fromkeys(cuts))
+    sends = [lambda t, x, u=u, v=v: u if x == v else x
+             for u, v in itertools.combinations(labels, 2)]
+    sends += [lambda t, x, u=u, v=v: v if x == u else u if x == v else x
+              for u, v in itertools.combinations(labels, 2)]
+    sends += [lambda t, x, a=a, c=c: cuts[c] if t is p.objects[a] else x
+              for a in range(len(p))
+              for c in p.covers_up[a] + p.covers_down[a] if cuts[c] != cuts[a]]
+    assert len(sends) == 91 + 91 + 48
+    for send in sends:
+        with monkeypatch.context() as m:
+            cut_sending(m, send)
+            assert not cli.verify_quotient(4)[0]
+            assert quotient_pair_failure(p) is not None
+
+
+def test_verify_order_fails_at_a_flipped_inversion_bit(monkeypatch):
+    # element 1's inv gains the lowest pair e of its coinv, so the inversion
+    # test puts it below none of the elements whose coinv holds e, itself
+    # included; the first of them in its up-set is the pair named
+    p = cli._poset("cycle", 4)
+    real, t = gt.inversion_masks, p.objects[1]
+    inv, coinv = real(t)
+    e = coinv & -coinv
+    monkeypatch.setattr(gt, "inversion_masks",
+                        lambda x: (inv | e, coinv) if x is t else real(x))
+    b = next(b for b in range(len(p)) if p.leq(1, b)
+             and real(p.objects[b])[1] & e)
+    witness = {"pair": [p.keys[1], p.keys[b]], "closure": True,
+               "inversion_test": False}
+    assert cli.verify_order(4) == (False, [], witness)
+    assert order_pair_failure(p) == witness
+
+
+def test_verify_selfdual_fails_when_the_order_is_not_reversed(monkeypatch):
+    # the up-sets say the bottom is not below its upper cover 1 while the
+    # covers and the down-sets still hold it, so the full reversal line
+    # fails on that pair as the pair loop does
+    real = cli._poset("cycle", 4)
+    up = (real.up[0] & ~2,) + real.up[1:]
+    p = dataclasses.replace(real, up=up)
+    monkeypatch.setattr(cli, "_poset", lambda kind, n: p)
+    witness = {"order_not_reversed": [p.keys[0], p.keys[1]]}
+    assert cli.verify_selfdual(4) == (False, [], witness)
+    assert selfdual_pair_failure(p) == witness
+
+
+def test_verify_pairs_fails_when_a_cover_is_dropped(monkeypatch):
+    # the pairs lattice loses the first upper cover of its minimum, the
+    # empty pair, which is the image of the bottom
+    real = la.pairs_lattice
+
+    def dropped(n):
+        pl = real(n)
+        covers = (pl.covers_up[0][1:],) + pl.covers_up[1:]
+        return la.FinitePoset.from_covers(pl.keys, covers, pl.objects)
+
+    monkeypatch.setattr(la, "pairs_lattice", dropped)
+    p = cli._poset("cycle", 4)
+    assert cli.verify_pairs(4) == (False, [],
+                                   {"cover_mismatch": p.keys[0]})
+    assert pairs_order_failure(4) is not None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_certificates_agree_with_the_pair_loops(n):
+    p, N = cli._poset("cycle", n), math.comb(2 * n - 2, n - 1)
+    assert cli.verify_order(n) == (True, [
+        f"order: inversion test matches flip closure on all {N}^2 ordered "
+        f"pairs (n={n})",
+        f"order: tree encodings round-trip and moves match flips (n={n})"],
+        None)
+    assert order_pair_failure(p) is None
+    assert cli.verify_quotient(n) == (True, [
+        f"quotient: cut respects joins and meets on all pairs (n={n})",
+        f"quotient: fibers shuffle-parameterized, sizes sum to {N}, cut "
+        f"after sew is the identity (n={n})"], None)
+    assert quotient_pair_failure(p) is None
+    assert cli.verify_selfdual(n) == (True, [
+        f"selfdual: reversal is an involution and reverses every cover "
+        f"(n={n})",
+        f"selfdual: full order reversal checked on all pairs (n={n})"], None)
+    assert selfdual_pair_failure(p) is None
+    if n <= 5:
+        assert cli.verify_pairs(n) == (True, [
+            f"pairs: maximal orthogonal pairs rebuild the lattice, {N} "
+            f"elements (n={n})"], None)
+        assert pairs_order_failure(n) is None
 
 
 def test_verify_pairs_fails_when_two_irreducibles_are_swapped(monkeypatch):
