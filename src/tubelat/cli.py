@@ -73,32 +73,49 @@ def verify_order(n: int):
                                "closure": p.leq(a, b),
                                "inversion_test": not m >> b & 1}
     # tree encodings round-trip and tree moves realize exactly the covers;
-    # a rebuilt tubing is checked by equality with one the program trusts
-    pairs = {(i, j) for j in range(2, n + 1) for i in range(1, j)}
+    # a rebuilt tubing is checked by equality with one the program trusts,
+    # a moved tree by its parent table against the flip's down masks
     for a, t in enumerate(elems):
         g = gt.gtree_of(graph, t)
         if not gt.validate(g, gt.CYCLE_CBT):
             return False, [], {"invalid_tree_for": p.keys[a]}
         if gc.Tubing._make(graph, g.down_masks[1:]) != t:
             return False, [], {"roundtrip_failed_for": p.keys[a]}
-        stats = gt.pair_statistics(g)
-        if (stats.inv | stats.coinv | stats.inc != pairs
-                or stats.inv & stats.coinv
-                or not stats.asc <= stats.coinv or not stats.desc <= stats.inv
-                or len(stats.asc) + len(stats.desc) != n - 1):
+        # each tree edge from v up to its parent u is an ascent (v < u) in
+        # coinv or a descent in inv; that no pair is in both the order
+        # theorem has shown, at a <= a
+        inv, coinv = masks[a]
+        if not all((coinv if v < u else inv)
+                   >> gt._pair_index(min(v, u), max(v, u)) & 1
+                   for v, u in enumerate(g.parent) if u):
             return False, [], {"bad_pair_statistics_for": p.keys[a]}
         flips = {top: (x, rep) for x, rep, top, _ in gc._flips(t)}
         for v in range(1, n + 1):
             if v == g.root:
                 continue
             moved = gt.tree_move(g, v, gt.CYCLE_CBT)
-            if (gc.Tubing._make(graph, moved.down_masks[1:])
-                    != gc._swap(t, *flips[v])):
+            if not _encodes(moved, gc._swap(t, *flips[v]).down_masks):
                 return False, [], {"tree_move_mismatch": [p.keys[a], v]}
     lines = [f"order: inversion test matches flip closure on all "
              f"{len(elems)}^2 ordered pairs (n={n})",
              f"order: tree encodings round-trip and moves match flips (n={n})"]
     return True, lines, None
+
+
+def _encodes(g: gt.GTree, down) -> bool:
+    """True when down is g.down_masks, read off g's parent table in O(n).
+
+    Each down[v] must be bit(v) OR'd with the down of v's children, and
+    down[root] the full mask. By induction from the leaves, every vertex
+    whose parent chain reaches the root then has its principal down-set
+    as down[v], and the root's covers all n vertices, so the table is a
+    tree. down holds distinct masks, as a tubing's do.
+    """
+    acc = [0] + [1 << v for v in range(g.n)]
+    for v, u in enumerate(g.parent):
+        if v and v != g.root:
+            acc[u] |= down[v]
+    return tuple(acc) == down and down[g.root] == (1 << g.n) - 1
 
 
 def _fiber_pairs(R):
@@ -216,6 +233,7 @@ def verify_quotient(n: int):
                 return False, [], {"path_cover_not_lifted": [q.keys[x],
                                                              q.keys[y]]}
     total = 0
+    pos = {t.tube_masks: a for a, t in enumerate(elems)}
     for x in q.objects:
         words = cl.fiber_words(x)
         if len(words) != cl.fiber_size(x):
@@ -225,12 +243,17 @@ def verify_quotient(n: int):
             if back != x:
                 return False, [], {"cut_sew_not_identity": [x.key(),
                                                             w.serialize()]}
-        lo = cl.sew(x, cl.shuffle_meet(x, words[0], words[-1]))
-        hi = cl.sew(x, cl.shuffle_join(x, words[0], words[-1]))
-        for w in (words[0], words[-1]):
-            t = cl.sew(x, w)
-            if not (cl.leq_cycle(lo, t) and cl.leq_cycle(t, hi)):
-                return False, [], {"fiber_bounds_wrong": x.key()}
+        # the shuffle meet and join of the first and last words sew to
+        # bounds of both, compared in the poset
+        ends = (cl.shuffle_meet(x, words[0], words[-1]), words[0], words[-1],
+                cl.shuffle_join(x, words[0], words[-1]))
+        ix = [pos.get(cl.sew(x, w).tube_masks) for w in ends]
+        if None in ix:
+            w = ends[ix.index(None)]
+            return False, [], {"sewn_off_the_poset": [x.key(), w.serialize()]}
+        lo, first, last, hi = ix
+        if not all(p.leq(lo, a) and p.leq(a, hi) for a in (first, last)):
+            return False, [], {"fiber_bounds_wrong": x.key()}
         total += len(words)
     if total != len(elems):
         return False, [], {"fiber_sizes_sum": total, "expected": len(elems)}
@@ -278,8 +301,8 @@ def verify_cu(n: int):
 def verify_mobius(n: int):
     p = _poset(gc.CYCLE, n)
     for a, row in enumerate(la.mobius_rows(p)):
-        if min(row) < -1 or max(row) > 1:
-            b = next(b for b, v in enumerate(row) if v not in (-1, 0, 1))
+        if min(row.values()) < -1 or max(row.values()) > 1:
+            b = min(b for b, v in row.items() if v not in (-1, 0, 1))
             return False, [], {"pair": [p.keys[a], p.keys[b]], "mu": row[b]}
     return True, [f"mobius: all values lie in -1..1 on {len(p)} elements "
                   f"(n={n})"], None

@@ -393,15 +393,16 @@ def _join_brackets(r1, r2) -> list[int]:
     contains the interval of every w inside it. Starting from the
     componentwise maximum, each interval, taken from the right, grows just
     enough to contain the intervals that start inside it; the jumps skip
-    intervals nested in one already seen.
+    intervals nested in one already seen. The intervals right of v already
+    nest, so the first one that reaches past the end is the last one met,
+    and v's interval ends where it does. r[n] is 0.
     """
-    r = [max(a, b) for a, b in zip(r1, r2)]
-    for v in range(len(r) - 1, 0, -1):
+    r = list(map(max, r1, r2))
+    for v in range(len(r) - 2, 0, -1):
         end, w = v + r[v], v + 1
         while w <= end:
-            end = max(end, w + r[w])
             w += r[w] + 1
-        r[v] = end - v
+        r[v] = w - 1 - v
     return r
 
 

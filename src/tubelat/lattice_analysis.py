@@ -267,34 +267,45 @@ def lattice_failure(p: FinitePoset) -> dict | None:
 
 
 def mobius_rows(p: FinitePoset):
-    """The rows of the Moebius matrix, by Rota's crosscut theorem.
+    """The rows of the Moebius matrix, by Rota's crosscut theorem, sparse.
 
     In a finite lattice mu(a, b) is the sum of (-1)^|S| over the sets S of
     upper covers of a whose join is b. Row a folds the covers in one at a
     time: joins[i] is phi of the join of the i-th subset and signs[i] its
-    sign. The theorem needs each interval [a, b] to be a lattice; that
-    holds once every pair has a join, so a poset without is refused when
-    the first row is asked for. Only one row is held at a time.
+    sign. The row is the dict {b: mu(a, b)} over the joins of those
+    subsets; every b missing from it has mu(a, b) == 0. The theorem needs
+    each interval [a, b] to be a lattice; that holds once every pair has a
+    join, so a poset without is refused when the first row is asked for.
+    Only one row is held at a time.
     """
     if not _joins_exist(p):
         raise ValueError("the Moebius matrix needs a join for every pair")
     at, masks = p.coords.at, p.coords.masks
-    n = len(p)
-    for a in range(n):
+    for a, ups in enumerate(p.covers_up):
         joins, signs = [masks[a]], [1]
-        for c in p.covers_up[a]:
+        for c in ups:
             mc = masks[c]
             joins += [m & mc for m in joins]
             signs += [-s for s in signs]
-        row = [0] * n
+        row = {}
         for m, s in zip(joins, signs):
-            row[at[m]] += s
-        yield tuple(row)
+            b = at[m]
+            row[b] = row.get(b, 0) + s
+        yield row
+
+
+def _dense_rows(p: FinitePoset):
+    """mobius_rows with every row spelled out over all len(p) columns."""
+    for sparse in mobius_rows(p):
+        row = [0] * len(p)
+        for b, v in sparse.items():
+            row[b] = v
+        yield row
 
 
 def mobius(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """The Moebius matrix with exact integers, the tuple of mobius_rows."""
-    return tuple(mobius_rows(p))
+    """The Moebius matrix with exact integers, mobius_rows made dense."""
+    return tuple(map(tuple, _dense_rows(p)))
 
 
 def join_irreducibles(p: FinitePoset) -> tuple[int, ...]:
@@ -544,8 +555,15 @@ MAX_PAIR_GENERATORS = 25  # grid size (n-1)^2 that pairs_lattice accepts
 
 
 def _orthogonal_closure(fs: ForcingSystem):
-    """Map a mask X over fs.universe to (closed set, orthogonal complement)."""
+    """Map a mask X over fs.universe to (closed set, orthogonal complement).
+
+    fwd[x] holds x and the targets of its arrows, bwd[y] holds y and the
+    sources of the arrows into it. perp is the complement of the OR of
+    fwd[x] over the members x of X, and the closed set the complement of
+    the OR of bwd[y] over the members y of perp.
+    """
     size = len(fs.universe)
+    full = (1 << size) - 1
     pos = {x: b for b, x in enumerate(fs.universe)}
     fwd = [1 << b for b in range(size)]
     bwd = list(fwd)
@@ -554,9 +572,14 @@ def _orthogonal_closure(fs: ForcingSystem):
         bwd[pos[b]] |= 1 << pos[a]
 
     def closure(xmask: int) -> tuple[int, int]:
-        perp = sum(1 << y for y in range(size) if bwd[y] & xmask == 0)
-        closed = sum(1 << y for y in range(size) if fwd[y] & perp == 0)
-        return closed, perp
+        reach = 0
+        for x in _bits(xmask):
+            reach |= fwd[x]
+        perp = full & ~reach
+        reach = 0
+        for y in _bits(perp):
+            reach |= bwd[y]
+        return full & ~reach, perp
 
     return closure
 
@@ -621,7 +644,7 @@ def hasse_dot(p: FinitePoset, labels: str = "index") -> str:
 
 def mobius_csv(p: FinitePoset) -> str:
     """The Moebius matrix as plain CSV, row a column b holding mu(a, b)."""
-    return "\n".join(",".join(map(str, row)) for row in mobius_rows(p)) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in _dense_rows(p)) + "\n"
 
 
 def forcing_to_json(fs: ForcingSystem) -> str:

@@ -125,6 +125,39 @@ def orthogonal_pair(fs, members):
     return left, right
 
 
+def reference_orthogonal_closure(fs):
+    """la._orthogonal_closure by a sum over the whole universe per call:
+    perp holds the y with no arrow from X, the closed set the y with no
+    arrow into perp, each element counting as an arrow to itself."""
+    size = len(fs.universe)
+    pos = {x: b for b, x in enumerate(fs.universe)}
+    fwd = [1 << b for b in range(size)]
+    bwd = list(fwd)
+    for a, b in fs.arrows_to:
+        fwd[pos[a]] |= 1 << pos[b]
+        bwd[pos[b]] |= 1 << pos[a]
+
+    def closure(xmask):
+        perp = sum(1 << y for y in range(size) if bwd[y] & xmask == 0)
+        closed = sum(1 << y for y in range(size) if fwd[y] & perp == 0)
+        return closed, perp
+
+    return closure
+
+
+def reference_join_brackets(r1, r2):
+    """cl._join_brackets by the loop that keeps the running end with max at
+    every step and visits v = n too."""
+    r = [max(a, b) for a, b in zip(r1, r2)]
+    for v in range(len(r) - 1, 0, -1):
+        end, w = v + r[v], v + 1
+        while w <= end:
+            end = max(end, w + r[w])
+            w += r[w] + 1
+        r[v] = end - v
+    return r
+
+
 def oracle_mobius(p):
     """The Moebius matrix by the zeta recursion, on any finite poset.
 

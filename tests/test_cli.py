@@ -391,6 +391,90 @@ def test_verify_order_fails_when_a_tree_move_is_wrong(monkeypatch):
     assert witness == {"tree_move_mismatch": [p.keys[0], 1 + (root == 1)]}
 
 
+def grandchild_to_grandparent(g):
+    """g with its first vertex of depth two hung from its grandparent."""
+    w = next(v for v in range(1, g.n + 1)
+             if v != g.root and g.parent[v] != g.root)
+    table = list(g.parent)
+    table[w] = g.parent[g.parent[w]]
+    return gt.GTree(g.n, g.root, tuple(table))
+
+
+def two_cycle(g):
+    """g with the parent of its first vertex of depth two made its child."""
+    w = next(v for v in range(1, g.n + 1)
+             if v != g.root and g.parent[v] != g.root)
+    table = list(g.parent)
+    table[g.parent[w]] = w
+    return gt.GTree(g.n, g.root, tuple(table))
+
+
+def rooted_at_a_leaf(g):
+    """g rooted at its first leaf, each vertex above that leaf made its own
+    parent: the down masks of the vertices above still add up."""
+    leaf = next(v for v in range(1, g.n + 1) if not g.children[v])
+    table = list(g.parent)
+    v = table[leaf]
+    while v:
+        table[v], v = v, table[v]
+    table[leaf] = 0
+    return gt.GTree(g.n, leaf, tuple(table))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_tree_move_check_agrees_with_the_rebuilt_tubing(n):
+    # cli._encodes reads a moved tree's parent table against the flip's
+    # down masks; the rebuilt tubing compared by equality is its reference,
+    # on every move and on three broken versions of each
+    graph = gc.make_graph("cycle", n)
+    for t in cli._poset("cycle", n).objects:
+        g = gt.gtree_of(graph, t)
+        for x, rep, v, _ in gc._flips(t):
+            flip = gc._swap(t, x, rep)
+            moved = gt.tree_move(g, v, gt.CYCLE_CBT)
+            for m, want in ((moved, True),
+                            (grandchild_to_grandparent(moved), False),
+                            (two_cycle(moved), False),
+                            (rooted_at_a_leaf(moved), False)):
+                rebuilt = gc.Tubing._make(graph, m.down_masks[1:]) == flip
+                assert cli._encodes(m, flip.down_masks) == rebuilt == want
+
+
+@pytest.mark.parametrize("broken", [grandchild_to_grandparent, two_cycle,
+                                    rooted_at_a_leaf])
+def test_verify_order_fails_on_a_broken_tree_move(monkeypatch, broken):
+    p = cli._poset("cycle", 4)
+    real = gt.tree_move
+    monkeypatch.setattr(gt, "tree_move",
+                        lambda g, v, kind: broken(real(g, v, kind)))
+    root = gt.gtree_of(p.objects[0].graph, p.objects[0]).root
+    assert cli.verify_order(4) == (False, [], {
+        "tree_move_mismatch": [p.keys[0], 1 + (root == 1)]})
+
+
+@pytest.mark.parametrize("e1, e2", itertools.combinations(range(6), 2))
+def test_verify_order_fails_when_two_pairs_trade_bits(monkeypatch, e1, e2):
+    # every element's inversion masks swap pairs e1 and e2: the order
+    # theorem does not see a renaming of the pairs, but some tree edge now
+    # reads as the wrong pair; the old statistics name the same element
+    p = cli._poset("cycle", 4)
+    real = gt.inversion_masks
+
+    def swap(m):
+        b1, b2 = m >> e1 & 1, m >> e2 & 1
+        return m & ~(1 << e1 | 1 << e2) | b1 << e2 | b2 << e1
+
+    monkeypatch.setattr(gt, "inversion_masks",
+                        lambda x: tuple(map(swap, real(x))))
+    def edges_agree(t):
+        stats = gt.pair_statistics(gt.gtree_of(t.graph, t))
+        return stats.asc <= stats.coinv and stats.desc <= stats.inv
+
+    a = next(a for a, t in enumerate(p.objects) if not edges_agree(t))
+    assert cli.verify_order(4) == (False, [], {
+        "bad_pair_statistics_for": p.keys[a]})
+
+
 def test_verify_selfdual_fails_when_reversal_keeps_the_order(monkeypatch):
     p = cli._poset("cycle", 4)
     monkeypatch.setattr(gc, "relabel_reverse", lambda t: t)
@@ -574,6 +658,53 @@ def test_verify_quotient_rejects_every_perturbed_partition(monkeypatch):
             cut_sending(m, send)
             assert not cli.verify_quotient(4)[0]
             assert quotient_pair_failure(p) is not None
+
+
+@pytest.mark.parametrize("op", ["shuffle_join", "shuffle_meet"])
+def test_verify_quotient_fails_when_the_fiber_bounds_are_wrong(monkeypatch,
+                                                               op):
+    # the join of the first and last words reads as the first, or their
+    # meet as the last: the first fiber of two or more words has a bound
+    # that is not one
+    q = cli._poset("path", 4)
+    monkeypatch.setattr(cl, op, lambda x, w1, w2:
+                        w1 if op == "shuffle_join" else w2)
+    x = next(x for x in q.objects if cl.fiber_size(x) > 1)
+    assert cli.verify_quotient(4) == (False, [], {
+        "fiber_bounds_wrong": x.key()})
+
+
+def test_verify_quotient_reports_a_bound_sewn_off_the_poset(monkeypatch):
+    # the meet reads as the first word reversed, which over the path's
+    # bottom sews to no cycle tubing of the poset: a witness, not a KeyError
+    p, q = cli._poset("cycle", 4), cli._poset("path", 4)
+    x = q.objects[0]
+    bad = cl.ShuffleWord(x, cl.fiber_words(x)[0].word[::-1])
+    assert cl.sew(x, bad).tube_masks not in {t.tube_masks for t in p.objects}
+    monkeypatch.setattr(cl, "shuffle_meet", lambda x, w1, w2:
+                        cl.ShuffleWord(x, w1.word[::-1]))
+    assert cli.verify_quotient(4) == (False, [], {
+        "sewn_off_the_poset": [x.key(), bad.serialize()]})
+
+
+@pytest.mark.parametrize("patch, b, mu", [
+    ({69: 2}, 69, 2), ({69: -2}, 69, -2), ({69: 2, 5: -3}, 5, -3)],
+    ids=["above", "below", "first_in_index_order"])
+def test_verify_mobius_fails_on_a_value_outside_the_range(monkeypatch, patch,
+                                                          b, mu):
+    # row 1 gains the values of patch, ahead of its own; the witness is the
+    # first column out of range in index order, not in the row's order
+    p = cli._poset("cycle", 5)
+    real = la.mobius_rows
+
+    def rows(q):
+        for a, row in enumerate(real(q)):
+            yield ({**patch, **{c: v for c, v in row.items()
+                                if c not in patch}} if a == 1 else row)
+
+    monkeypatch.setattr(la, "mobius_rows", rows)
+    assert cli.verify_mobius(5) == (False, [], {
+        "pair": [p.keys[1], p.keys[b]], "mu": mu})
 
 
 def test_verify_order_fails_at_a_flipped_inversion_bit(monkeypatch):

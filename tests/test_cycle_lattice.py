@@ -7,7 +7,8 @@ import tubelat as tl
 from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat.graph_core import vertices_of
-from helpers import closure_leq, graph, load_fixture, poset, tubings
+from helpers import (closure_leq, graph, load_fixture, poset,
+                     reference_join_brackets, tubings)
 
 
 def tubing_from(obj) -> tl.Tubing:
@@ -399,6 +400,15 @@ def test_join_path_matches_poset_oracle():
                 m = cl.meet_path(elems[a], elems[b])
                 assert index[j.tube_masks] == p.join_table[a][b]
                 assert index[m.tube_masks] == p.meet_table[a][b]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_join_brackets_matches_the_reference_loop(n):
+    # on every pair of path bracket vectors, as bytes as the suites pass them
+    vectors = [bytes(cl._right_sizes(t)) for t in tubings("path", n)]
+    for r1 in vectors:
+        for r2 in vectors:
+            assert cl._join_brackets(r1, r2) == reference_join_brackets(r1, r2)
 
 
 def test_path_meets_and_joins_are_componentwise_on_subtree_sizes():

@@ -11,7 +11,7 @@ from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
 from helpers import (diamond, graph, oracle_mobius, orthogonal_pair, poset,
-                     poset_from_leq, tubings)
+                     poset_from_leq, reference_orthogonal_closure, tubings)
 
 
 def ji_tubing(n, i, k):
@@ -254,7 +254,12 @@ def test_oracle_matches_the_references_on_random_posets():
             with pytest.raises(ValueError):
                 la.semidistributivity_witness(p)
         if joins_exist:
-            assert la.mobius(p) == oracle_mobius(p)
+            want = oracle_mobius(p)
+            assert la.mobius(p) == want
+            # a column missing from a sparse row holds 0
+            for row, dense in zip(la.mobius_rows(p), want):
+                assert ({b: v for b, v in row.items() if v}
+                        == {b: v for b, v in enumerate(dense) if v})
         else:
             with pytest.raises(ValueError):
                 la.mobius(p)
@@ -675,6 +680,15 @@ def subset_filter_pairs(n):
         if left == members:
             closed.add(members)
     return closed
+
+
+def test_orthogonal_closure_matches_the_sum_over_the_universe():
+    for n in (4, 5):
+        fs = la.forcing_system(n)
+        got = la._orthogonal_closure(fs)
+        want = reference_orthogonal_closure(fs)
+        for xmask in range(1 << len(fs.universe)):
+            assert got(xmask) == want(xmask)
 
 
 def test_pairs_lattice_matches_subset_filter():

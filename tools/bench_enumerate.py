@@ -21,13 +21,14 @@ Tubing objects built afresh, so no per-tubing cache is warm, and lift's
 targets are the untimed path joins of the two cuts. The verify suite
 times `tubelat verify --selector S --n N --force` whole through cli.main,
 poset build included, for the suites that read the cached poset or the
-flip kernel, and `--selector all` at n = 9. The parent tree skips the
-cases in PARENT_SKIPS and records null with the reason. Every measurement
-reads the interpreter's own peak resident set (VmHWM, which starts afresh
-at exec). The two trees alternate
+flip kernel, and `--selector all` at n = 9; it then times the same call
+again in the same process as warm_s, the posets cached, which leaves the
+suite's own work. Every measurement reads the interpreter's own peak
+resident set (VmHWM, which starts afresh at exec), a verify case before
+its warm call. The two trees alternate
 which runs first on each repeat. The JSON written holds, per case, the
-median wall time and peak RSS of each tree over the repeats, every raw
-sample, and the command line.
+median wall time, warm time and peak RSS of each tree over the repeats,
+every raw wall time, and the command line.
 """
 
 from __future__ import annotations
@@ -64,18 +65,9 @@ VERIFY_CASES = [("verify_lattice", "cycle", 5), ("verify_lattice", "cycle", 6),
                 ("verify_order", "cycle", 8), ("verify_order", "cycle", 9),
                 ("verify_selfdual", "cycle", 8),
                 ("verify_selfdual", "cycle", 9),
-                ("verify_mobius", "cycle", 8), ("verify_ji", "cycle", 7),
-                ("verify_pairs", "cycle", 5), ("verify_all", "cycle", 9)]
-# cases the parent tree does not run, and the reason the report records in
-# place of its timings: a parent whose suites loop over all pairs would run
-# these for minutes, or under its lower caps would time other work
-PARENT_SKIPS = {
-    ("verify_quotient", "cycle", 9): "a loop over all pairs takes minutes "
-                                     "at 82.8M unordered pairs",
-    ("verify_order", "cycle", 9): "a loop over all pairs takes minutes at "
-                                  "165.6M ordered pairs",
-    ("verify_all", "cycle", 9): "caps below n = 9 would run most suites "
-                                "at smaller n, so other work"}
+                ("verify_mobius", "cycle", 8), ("verify_mobius", "cycle", 9),
+                ("verify_ji", "cycle", 7), ("verify_pairs", "cycle", 5),
+                ("verify_all", "cycle", 9)]
 OPS_CASES = [(op, "cycle", n) for n in range(5, 10)
              for op in ("join_cycle", "meet_cycle", "leq_cycle", "cut", "lift",
                         "gtree_of")]
@@ -97,6 +89,14 @@ OPS = {"join_cycle": lambda j, k, x: cl.join_cycle(j, k),
        "cut": lambda j, k, x: cl.cut(j),
        "lift": lambda j, k, x: cl.lift(j, x),
        "gtree_of": lambda j, k, x: gtree.gtree_of(j.graph, j)}
+
+
+def vmhwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+
 op, kind, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
 graph = graph_core.make_graph(kind, n)
 if op in OPS:
@@ -115,12 +115,18 @@ if op in OPS:
 elif op.startswith("verify_"):
     argv = ["verify", "--selector", op[len("verify_"):], "--n", str(n),
             "--force"]
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    wall = time.perf_counter() - start
-    if code != 0:
-        sys.exit(f"verify exited {code}")
+
+    def verify():
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            sys.exit(f"verify exited {code}")
+        return time.perf_counter() - start
+
+    wall = verify()
+    kb = vmhwm()  # before the warm call, which reuses the cached posets
+    warm = verify()
     # the cycle's tubing count: an untimed poset build would raise VmHWM
     size = math.comb(2 * n - 2, n - 1)
 elif op in ORACLE:
@@ -134,9 +140,10 @@ else:
     start = time.perf_counter()
     size = len(fn(graph))
     wall = time.perf_counter() - start
-with open("/proc/self/status") as fh:
-    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({"wall_s": wall, "peak_rss_mb": kb / 1024, "size": size}))
+if not op.startswith("verify_"):
+    kb, warm = vmhwm(), None
+print(json.dumps({"wall_s": wall, "warm_s": warm, "peak_rss_mb": kb / 1024,
+                  "size": size}))
 """
 
 
@@ -163,8 +170,6 @@ def main(argv=None) -> int:
         order = list(sides) if r % 2 == 0 else list(reversed(sides))
         for case in cases:
             for side in order:
-                if side == "parent" and case in PARENT_SKIPS:
-                    continue
                 got = measure(sides[side], *case)
                 samples[case][side].append(got)
                 print(r, side, *case, got, file=sys.stderr, flush=True)
@@ -173,17 +178,16 @@ def main(argv=None) -> int:
         row = {"op": op, "graph": kind, "n": n,
                "elements": by_side["change"][0]["size"]}
         for side, runs in by_side.items():
-            if not runs:
-                row[side] = None
-                row[f"{side}_skipped"] = PARENT_SKIPS[op, kind, n]
-                continue
             if {s["size"] for s in runs} != {row["elements"]}:
                 raise SystemExit(f"{op} {kind} {n}: sizes differ between runs")
             # microseconds resolve the ops suite's millisecond loops
+            metrics = ["wall_s", "peak_rss_mb"]
+            if runs[0]["warm_s"] is not None:
+                metrics.insert(1, "warm_s")
             row[side] = {metric: round(statistics.median(s[metric] for s in runs), 6)
-                         for metric in ("wall_s", "peak_rss_mb")}
+                         for metric in metrics}
             row[side]["wall_s_runs"] = [round(s["wall_s"], 6) for s in runs]
-        row["wall_ratio"] = None if row["parent"] is None else round(
+        row["wall_ratio"] = round(
             row["parent"]["wall_s"] / row["change"]["wall_s"], 2)
         rows.append(row)
     report = {"command": " ".join(["python3", "tools/bench_enumerate.py"]
