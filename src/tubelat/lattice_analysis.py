@@ -152,6 +152,21 @@ class FinitePoset:
                            {m: i for i, m in enumerate(masks)})
 
     @cached_property
+    def joins_exist(self) -> bool:
+        """True when every pair of elements has a join.
+
+        Let J be the elements that are not the join of their lower covers,
+        the Q of the dual. Dually to the embedding, phi(b) is the AND of
+        phi(j) over the j in J below b, so phi(c) & phi(b) folds in one j
+        at a time. Every pair has a join exactly when phi(c) & phi(j) is a
+        coordinate for every c and every j in J: N * |J| lookups, once per
+        poset; the dual answers for the meets.
+        """
+        at, masks = self.coords.at, self.coords.masks
+        return all(mc & masks[j] in at
+                   for j in self.dual.coords.irreducibles for mc in masks)
+
+    @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
         """join_table[a][b] is the join index, or -1 when it does not exist.
 
@@ -229,30 +244,16 @@ def is_lattice(p: FinitePoset) -> bool:
     return lattice_failure(p) is None
 
 
-def _joins_exist(p: FinitePoset) -> bool:
-    """True when every pair of elements of p has a join.
-
-    Let J be the elements that are not the join of their lower covers,
-    the Q of p.dual. Dually to the embedding, phi(b) is the AND of phi(j)
-    over the j in J below b, so phi(c) & phi(b) folds in one j at a time.
-    Every pair has a join exactly when phi(c) & phi(j) is a coordinate
-    for every c and every j in J: N * |J| lookups.
-    """
-    at, masks = p.coords.at, p.coords.masks
-    return all(mc & masks[j] in at
-               for j in p.dual.coords.irreducibles for mc in masks)
-
-
 def lattice_failure(p: FinitePoset) -> dict | None:
     """A witness pair with several minimal upper or maximal lower bounds.
 
     The pair is the first a < b in row-major order without a join or a
-    meet, the join checked first. Only a poset that fails _joins_exist
+    meet, the join checked first. Only a poset that fails joins_exist
     or its dual pays for the scan, which reads the coordinates of p and
     of p.dual (the join exists exactly when phi(a) & phi(b) is a
     coordinate) and builds no table.
     """
-    if _joins_exist(p) and _joins_exist(p.dual):
+    if p.joins_exist and p.dual.joins_exist:
         return None
     sides = [(q.coords.at, q.coords.masks, q, name) for q, name in
              ((p, "minimal_upper_bounds"), (p.dual, "maximal_lower_bounds"))]
@@ -278,7 +279,7 @@ def mobius_rows(p: FinitePoset):
     join, so a poset without is refused when the first row is asked for.
     Only one row is held at a time.
     """
-    if not _joins_exist(p):
+    if not p.joins_exist:
         raise ValueError("the Moebius matrix needs a join for every pair")
     at, masks = p.coords.at, p.coords.masks
     for a, ups in enumerate(p.covers_up):

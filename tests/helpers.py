@@ -6,7 +6,8 @@ by literal extension search, order relations by breadth-first closure of
 the cover predicate evaluated on every ordered pair, and the Moebius
 function by the zeta recursion. The order, quotient, selfdual and pairs
 verify suites prove their statements from rows and covers; the loops over
-all pairs that they replaced stay here as their oracles.
+all pairs that they replaced stay here as their oracles, and so does the
+meet pass the lattice suite replaced by its reversal certificate.
 """
 
 import itertools
@@ -241,6 +242,33 @@ def reference_gtree_of(g, t):
     return tl.GTree(g.n, root, tuple(parent))
 
 
+def reference_validate(g, kind):
+    """gt.validate by a scan of every child's subtree, vertex by vertex,
+    against the position of its parent: O(n^2) per tree."""
+    if kind == gt.PATH_BST:
+        pos, skip = (lambda v: v), None
+    else:
+        if g.n < 3 or len(g.children[g.root]) != 1:
+            return False
+        pos, skip = (lambda v: (v - g.root - 1) % g.n), g.root
+    for v in range(1, g.n + 1):
+        if v == skip:
+            continue
+        lefts = rights = 0
+        for c in g.children[v]:
+            side = pos(c) < pos(v)
+            if side:
+                lefts += 1
+            else:
+                rights += 1
+            for u in gc.vertices_of(g.down_masks[c]):
+                if (pos(u) < pos(v)) != side:
+                    return False
+        if lefts > 1 or rights > 1:
+            return False
+    return True
+
+
 def reference_relabel_reverse(t):
     """The reversal v -> n+1-v, vertex by vertex, after checking the edges."""
     g, n = t.graph, t.graph.n
@@ -368,6 +396,25 @@ def quotient_pair_failure(p):
             if R[dat[down[a] & down[b]]] != rm:
                 return {"op": "meet", "pair": [p.keys[a], p.keys[b]]}
     return None
+
+
+def lattice_meet_failure(p):
+    """The meet pass verify_lattice ran before its reversal certificate:
+    the constructive join of the reversals of every unordered pair of the
+    cycle lattice p, checked against the oracle's meet by the dual's
+    coordinates. The first failing pair, as that pass named it, or None."""
+    bad = cli._join_failure([cl._encode(gc.relabel_reverse(t))
+                             for t in p.objects], p.dual.coords)
+    if bad is None:
+        return None
+    a, b, z, r, pos = bad
+    witness = {"op": "meet", "pair": [p.keys[a], p.keys[b]],
+               "oracle": p.keys[z]}
+    if pos is None:
+        witness["unlifted"] = list(r)
+    else:
+        witness["constructive"] = gc.relabel_reverse(cl._decode(r, pos)).key()
+    return witness
 
 
 def selfdual_pair_failure(p):

@@ -15,9 +15,10 @@ from tubelat import cycle_lattice as cl
 from tubelat import graph_core as gc
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
-from helpers import (diamond, graph, load_fixture, order_pair_failure,
-                     pairs_order_failure, quotient_pair_failure,
-                     search_tree_tubing, selfdual_pair_failure)
+from helpers import (diamond, graph, lattice_meet_failure, load_fixture,
+                     order_pair_failure, pairs_order_failure,
+                     quotient_pair_failure, search_tree_tubing,
+                     selfdual_pair_failure)
 
 
 def run(capsys, *argv):
@@ -514,23 +515,50 @@ def test_verify_lattice_fails_on_a_wrong_join(monkeypatch):
                        "constructive": s.key(), "oracle": p.keys[1]}
 
 
-def misread_bottom_meets(monkeypatch, p):
-    """Make the oracle read every meet that is the bottom, element 0, as
-    the top: the dual's coordinate map sends phi(bottom) to the top. The
-    poset is frozen; the cached coordinates live in the dual's __dict__."""
-    real = p.dual.coords
-    at = {**real.at, real.masks[0]: len(p) - 1}
-    monkeypatch.setitem(p.dual.__dict__, "coords", real._replace(at=at))
-
-
-def test_verify_lattice_fails_on_a_wrong_meet(monkeypatch):
-    # the bottom's meet with itself, the first pair of the meet pass
+def test_verify_lattice_fails_when_reversal_keeps_the_order(monkeypatch):
+    # the meets are checked as reversed joins of reversals, so a reversal
+    # that is not an anti-automorphism fails the suite before the joins,
+    # with the selfdual suite's witness; the old meet pass fails too
     p = cli._poset("cycle", 4)
-    misread_bottom_meets(monkeypatch, p)
-    ok, lines, witness = cli.verify_lattice(4)
-    assert not ok and lines == []
-    assert witness == {"op": "meet", "pair": [p.keys[0], p.keys[0]],
-                       "constructive": p.keys[0], "oracle": p.keys[-1]}
+    monkeypatch.setattr(gc, "relabel_reverse", lambda t: t)
+    witness = {"cover_not_reversed": [p.keys[0], p.keys[p.covers_up[0][0]]]}
+    assert cli.verify_lattice(4) == (False, [], witness)
+    assert cli.verify_selfdual(4) == (False, [], witness)
+    assert lattice_meet_failure(p) is not None
+
+
+def test_verify_lattice_fails_when_reversal_is_not_an_involution(
+        monkeypatch):
+    # the bottom reverses to its upper cover 1, whose reversal is not the
+    # bottom
+    p = cli._poset("cycle", 4)
+    real = gc.relabel_reverse
+    monkeypatch.setattr(gc, "relabel_reverse", lambda t: p.objects[1]
+                        if t is p.objects[0] else real(t))
+    witness = {"not_involution": p.keys[0]}
+    assert cli.verify_lattice(4) == (False, [], witness)
+    assert cli.verify_selfdual(4) == (False, [], witness)
+    assert lattice_meet_failure(p) is not None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_lattice_agrees_with_the_meet_pass(n):
+    assert cli.verify_lattice(n) == (True, [
+        f"lattice: joins and meets exist and the constructive operations "
+        f"match the oracle on all pairs (n={n})"], None)
+    assert lattice_meet_failure(cli._poset("cycle", n)) is None
+
+
+def test_verify_all_asks_for_joins_once_per_side(monkeypatch, capsys):
+    # lattice, quotient, sdl and mobius all need every pair to have a join
+    # or a meet; a fresh poset and its dual each answer once
+    calls, prop = [], la.FinitePoset.__dict__["joins_exist"]
+    monkeypatch.setattr(prop, "func",
+                        lambda q, real=prop.func: calls.append(q) or real(q))
+    cli._poset.cache_clear()
+    assert run(capsys, "verify", "--selector", "all", "--n", "5")[0] == 0
+    p = cli._poset("cycle", 5)
+    assert len(calls) == 2 and calls[0] is p and calls[1] is p.dual
 
 
 def test_verify_sdl_fails_on_m3(monkeypatch, capsys):

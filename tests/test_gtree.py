@@ -3,9 +3,10 @@ import json
 import pytest
 
 import tubelat as tl
+from tubelat import graph_core as gc
 from tubelat import gtree as gt
 from helpers import (graph, load_fixture, reference_graphs, reference_gtree_of,
-                     tubings)
+                     reference_validate, tubings)
 
 
 def tree_of(obj) -> gt.GTree:
@@ -131,6 +132,56 @@ def test_validate_rejects_bad_shapes():
     assert not tl.validate(escaped, gt.CYCLE_CBT)
     # same shape violations in the plain order
     assert not tl.validate(gt.GTree.of(3, 1, {2: 1, 3: 1}), gt.PATH_BST)
+
+
+def test_validate_rejects_named_breaks_as_the_subtree_scan_does():
+    wrong_side = gt.GTree.of(3, 2, {1: 2, 3: 1})  # 3 under 2's left child
+    two_lefts = gt.GTree.of(3, 3, {1: 3, 2: 3})
+    forked_root = gt.GTree.of(4, 4, {1: 4, 2: 4, 3: 2})
+    for g, kind in ((wrong_side, gt.PATH_BST), (two_lefts, gt.PATH_BST),
+                    (forked_root, gt.CYCLE_CBT)):
+        assert not tl.validate(g, kind) and not reference_validate(g, kind)
+
+
+def leaf_regrafts(g):
+    """g with each leaf hung from every other vertex in turn: children on
+    the wrong side, two children on one side, a cycle root with two."""
+    for w in range(1, g.n + 1):
+        if w != g.root and not g.children[w]:
+            for u in range(1, g.n + 1):
+                if u not in (w, g.parent[w]):
+                    table = list(g.parent)
+                    table[w] = u
+                    yield gt.GTree(g.n, g.root, tuple(table))
+
+
+@pytest.mark.parametrize("kind, n", [("path", n) for n in range(1, 8)]
+                         + [("cycle", n) for n in range(3, 8)])
+def test_validate_matches_the_subtree_scan(kind, n):
+    # every tree of the graph and every leaf regraft of it, read as both
+    # kinds of search tree
+    verdicts = set()
+    for t in tubings(kind, n):
+        g = tl.gtree_of(graph(kind, n), t)
+        for h in (g, *leaf_regrafts(g)):
+            for treekind in (gt.PATH_BST, gt.CYCLE_CBT):
+                got = tl.validate(h, treekind)
+                assert got == reference_validate(h, treekind)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("kind, treekind", [("path", gt.PATH_BST),
+                                            ("cycle", gt.CYCLE_CBT)])
+def test_tree_moves_realize_the_flips(kind, treekind):
+    for n in range(3, 7):
+        g0 = graph(kind, n)
+        for t in tubings(kind, n):
+            g = tl.gtree_of(g0, t)
+            for x, rep, v, _ in gc._flips(t):
+                moved = tl.tree_move(g, v, treekind)
+                assert tl.validate(moved, treekind)
+                assert tl.tubing_of(g0, moved) == gc._swap(t, x, rep)
 
 
 def test_validate_catalog_covers_enumeration():
