@@ -11,8 +11,9 @@ import argparse
 import json
 import math
 import sys
-from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from functools import lru_cache, reduce
+from itertools import product
+from operator import and_, getitem
 
 from . import graph_core as gc
 from . import cycle_lattice as cl
@@ -20,7 +21,7 @@ from . import gtree as gt
 from . import lattice_analysis as la
 
 ENUM_CAPS = {"path": 12, "cycle": 11, "complete": 8}
-VERIFY_CAPS = {"lattice": 7, "order": 9, "quotient": 9, "sdl": 9, "cu": 12,
+VERIFY_CAPS = {"lattice": 9, "order": 9, "quotient": 9, "sdl": 9, "cu": 12,
                "mobius": 9, "ji": 12, "selfdual": 9, "regular": 9, "pairs": 5}
 FIBER_CAP = math.comb(16, 8)  # words; every fiber of a path with n <= 17 fits
 FORCING_CAP = 16  # the relations take O(n^4) pair tests: 0.4 s at n = 16
@@ -48,14 +49,19 @@ def _poset(kind: str, n: int) -> la.FinitePoset:
 
 
 @lru_cache(maxsize=None)
+def _index(n: int) -> dict:
+    """{t.tube_masks: index of t} over the cycle poset at n."""
+    return {t.tube_masks: i for i, t in enumerate(_poset(gc.CYCLE, n).objects)}
+
+
+@lru_cache(maxsize=None)
 def _reversal(n: int):
     """(rev, witness) on the cycle poset at n: rev[a] indexes the reversal
     of element a, None when it is not an element, and witness is None when
     rev is an involution that makes rev a an upper cover of rev b for each
     upper cover b of a. An involution that reverses the covers reverses the
     order, so it is an order anti-automorphism of the poset."""
-    p = _poset(gc.CYCLE, n)
-    index = {t.tube_masks: i for i, t in enumerate(p.objects)}
+    p, index = _poset(gc.CYCLE, n), _index(n)
     rev = [index.get(gc.relabel_reverse(t).tube_masks) for t in p.objects]
     for a in range(len(p)):
         if rev[a] is None or rev[rev[a]] != a:
@@ -65,6 +71,61 @@ def _reversal(n: int):
             if rev[a] not in p.covers_up[rev[b]]:
                 return rev, {"cover_not_reversed": [p.keys[a], p.keys[b]]}
     return rev, None
+
+
+@lru_cache(maxsize=None)
+def _quotient(n: int):
+    """(es, fibers, low, witness) on the cycle poset at n: es[a] is
+    cl._encode of element a, fibers maps each cut's bracket vector to its
+    elements and low to the least of them; witness is None when cut is a
+    lattice quotient map onto the path lattice, if the poset is a lattice."""
+    p = _poset(gc.CYCLE, n)
+    es = [cl._encode(t) for t in p.objects]
+    fibers = {}
+    for a, e in enumerate(es):
+        fibers.setdefault(e[1], []).append(a)
+    low = {r: max(F, key=lambda a: p.up[a].bit_count())
+           for r, F in fibers.items()}
+    return es, fibers, low, _congruence_failure(p, _poset(gc.PATH, n),
+                                                fibers, low)
+
+
+def _congruence_failure(p, q, fibers, low):
+    """None when cut, of the given fibers and least elements, is a lattice
+    quotient map from p onto q: its fibers are intervals [low, high] with
+    x -> low and x -> high order-preserving (a congruence, by Chajda and
+    Snasel), and it maps them one to one onto q, order-preserving with an
+    order-preserving inverse x -> low. Maps are checked on covers."""
+    up, down, keys = p.up, p.down, p.keys
+    index = {bytes(cl._right_sizes(x)): i for i, x in enumerate(q.objects)}
+    lo, hi, at = [0] * len(p), [0] * len(p), [0] * len(p)
+    for r, F in fibers.items():
+        bot, top = low[r], max(F, key=lambda a: down[a].bit_count())
+        stray = sum(1 << a for a in F) ^ (up[bot] & down[top])
+        if stray:
+            z = (stray & -stray).bit_length() - 1
+            return {"fiber_not_interval": [keys[bot], keys[top]],
+                    "element": keys[z]}
+        for a in F:
+            lo[a], hi[a], at[a] = bot, top, index.get(r)
+    if fibers.keys() != index.keys():
+        return {"cut_off_the_path": [keys[F[0]] for r, F in fibers.items()
+                                     if r not in index],
+                "empty_fibers": [q.keys[i] for r, i in index.items()
+                                 if r not in fibers]}
+    for a, ups in enumerate(p.covers_up):
+        for c in ups:
+            for name, ok in (("low", p.leq(lo[a], lo[c])),
+                             ("high", p.leq(hi[a], hi[c])),
+                             ("cut", q.leq(at[a], at[c]))):
+                if not ok:
+                    return {"not_monotone": name, "cover": [keys[a], keys[c]]}
+    bottom = [low[r] for r in index]
+    for x, ups in enumerate(q.covers_up):
+        for y in ups:
+            if not p.leq(bottom[x], bottom[y]):
+                return {"path_cover_not_lifted": [q.keys[x], q.keys[y]]}
+    return None
 
 
 # --- verification suites ------------------------------------------------------
@@ -109,12 +170,12 @@ def verify_order(n: int):
                    >> gt._pair_index(min(v, u), max(v, u)) & 1
                    for v, u in enumerate(g.parent) if u):
             return False, [], {"bad_pair_statistics_for": p.keys[a]}
-        flips = {top: (x, rep) for x, rep, top, _ in gc._flips(t)}
-        for v in range(1, n + 1):
-            if v == g.root:
-                continue
-            moved = gt.tree_move(g, v, gt.CYCLE_CBT)
-            if not _encodes(moved, gc._swap(t, *flips[v]).down_masks):
+        # flipping v's tube (v is no root) inside the tube Y of u makes Y
+        # the tube of v and the replacement the tube of u; no other moves
+        for v, u, rep in sorted((v, u, rep) for _, rep, v, u in gc._flips(t)):
+            down = list(t.down_masks)
+            down[v], down[u] = down[u], rep
+            if not _encodes(gt.tree_move(g, v, gt.CYCLE_CBT), tuple(down)):
                 return False, [], {"tree_move_mismatch": [p.keys[a], v]}
     lines = [f"order: inversion test matches flip closure on all "
              f"{len(elems)}^2 ordered pairs (n={n})",
@@ -138,119 +199,107 @@ def _encodes(g: gt.GTree, down) -> bool:
     return tuple(acc) == down and down[g.root] == (1 << g.n) - 1
 
 
-def _fiber_pairs(R):
-    """Group the elements by their cut's bracket vector R[a], so into the
-    fibers of cut, and yield (x, y, pairs) for every unordered pair of
-    fibers: their cuts' vectors and their element pairs, X x Y or, within one
-    fiber, a <= b. Every unordered pair of elements comes once."""
-    fibers = {}
-    for a, r in enumerate(R):
-        fibers.setdefault(r, []).append(a)
-    groups = list(fibers.items())
-    for i, (x, X) in enumerate(groups):
-        yield x, x, combinations_with_replacement(X, 2)
-        for y, Y in groups[i + 1:]:
-            yield x, y, product(X, Y)
+def _path_join_failure(q, n: int):
+    """None when _join_brackets gives the join of every pair of the path
+    lattice q, else a witness. q's order must be componentwise on bracket
+    vectors: up[x] is the AND over v of G[v][r[v]], the elements y with
+    r_y[v] >= r[v]. _join_brackets reads only m = max(x, y), so for each m
+    in the box 0 <= m[v] <= n - v, c = _join_brackets(m, m) must be a
+    bracket vector >= m with no lower cover >= m, the least of the up-set
+    above m, which for the max of x and y is x v y."""
+    R = [tuple(cl._right_sizes(x)) for x in q.objects]
+    # the elements whose vector is >= m are the AND of G[v][m[v]] over v
+    G = [[sum(1 << y for y, r in enumerate(R) if r[v] >= k)
+          for k in range(n - v + 1)] for v in range(n + 1)]
+    for x, r in enumerate(R):
+        diff = q.up[x] ^ reduce(and_, map(getitem, G, r))
+        if diff:
+            y = (diff & -diff).bit_length() - 1
+            return {"path_order_not_componentwise": [q.keys[x], q.keys[y]]}
+    index = {r: i for i, r in enumerate(R)}
+    lower = [sum(1 << d for d in ds) for ds in q.covers_down]
+    for m in product((0,), *(range(n - v + 1) for v in range(1, n + 1))):
+        c, s = cl._join_brackets(m, m), reduce(and_, map(getitem, G, m))
+        i = index.get(tuple(c))
+        if i is None or not s >> i & 1 or s & lower[i]:
+            least = next((list(R[x]) for x in la._bits(s) if q.up[x] == s),
+                         None)
+            return {"op": "path_join", "max": list(m), "oracle": least,
+                    "constructive": c}
+    return None
 
 
-def _join_failure(es, coords):
-    """The first pair (a, b, z, r, pos) of the encodings es whose join by
-    lifts differs from z, the oracle's join, found by phi(a) & phi(b) in
-    coords: r joins the cuts, pos is the max of the two lifts' positions
-    over r, or None when r fails to lie above both cuts and so a lift is
-    missing. A pair compares (bracket vector, positions), which determine a
-    cycle tubing, with those of z."""
-    lifts = [cl._lifts(e) for e in es]
-    key = [(e[1], cl._positions(e[3], cl._root(e[1]))) for e in es]
-    at, masks = coords.at, coords.masks
-    for x, y, pairs in _fiber_pairs([e[1] for e in es]):
-        r = bytes(cl._join_brackets(x, y))
-        for a, b in pairs:
-            pa, pb = lifts[a].get(r), lifts[b].get(r)
-            pos = None if pa is None or pb is None else bytes(map(max, pa, pb))
+def _join_witness(p, a: int, b: int, z: int) -> dict:
+    try:
+        got = cl.join_cycle(p.objects[a], p.objects[b]).key()
+    except (ValueError, StopIteration) as exc:  # a broken step may raise
+        got = repr(exc)
+    return {"op": "join", "pair": [p.keys[a], p.keys[b]], "oracle": p.keys[z],
+            "constructive": got}
+
+
+def _lift_failure(p, es, low):
+    """None when _rotate_up takes each encoding es[a], on each left edge, to
+    the encoding of a v low(r), r the rotated bracket vector. Then a chain of
+    rotations from cut(a) keeps the encoding of a v low(r), as (a v low r)
+    v low r' = a v low r' for low monotone, so every _lift is right."""
+    at, masks = p.coords.at, p.coords.masks
+    for a, e in enumerate(es):
+        for u in [u for u, v in enumerate(e[2]) if u < v]:  # left edges
+            parent, r, word = list(e[2]), list(e[1]), list(e[3])
+            cl._rotate_up(parent, r, word, u)
+            b = low.get(bytes(r))
+            if b is None:
+                return {"op": "join", "rotated_off_the_path": [p.keys[a], u]}
             z = at[masks[a] & masks[b]]
-            if (r, pos) != key[z]:
-                return a, b, z, r, pos
+            if (bytes(r), bytes(parent), bytes(word)) != es[z][1:]:
+                return _join_witness(p, a, b, z)
+    return None
+
+
+def _fiber_join_failure(p, es, fibers):
+    """None when _merge by the max takes every ordered pair of words of one
+    fiber to the word of the oracle's join."""
+    at, masks = p.coords.at, p.coords.masks
+    for r, F in fibers.items():
+        m = cl._root(r)
+        for a, b in product(F, F):
+            z = at[masks[a] & masks[b]]
+            if bytes(cl._merge(es[a][3], es[b][3], m, max)) != es[z][3]:
+                return _join_witness(p, a, b, z)
     return None
 
 
 def verify_lattice(n: int):
     p = _poset(gc.CYCLE, n)
-    witness = la.lattice_failure(p) or _reversal(n)[1]
+    es, fibers, low, quotient = _quotient(n)
+    # cut is a lattice quotient map, so a v b = (a v low r) v (b v low r),
+    # r = cut(a) v cut(b), a join in the fiber over r; join_cycle's steps
+    # _join_brackets, _lift and _merge give r, a v low r and that join, and
+    # meet_cycle reverses the join of the reversals
+    witness = (la.lattice_failure(p) or _reversal(n)[1] or quotient
+               or _path_join_failure(_poset(gc.PATH, n), n)
+               or _lift_failure(p, es, low)
+               or _fiber_join_failure(p, es, fibers))
     if witness is not None:
         return False, [], witness
-    # reversal is an order-reversing involution, so an anti-automorphism:
-    # the meet of a and b is the reversed join of rev a and rev b, as
-    # meet_cycle builds it, and the join pass checks the pair (rev a, rev b)
-    bad = _join_failure([cl._encode(t) for t in p.objects], p.coords)
-    if bad is not None:
-        a, b, z, r, pos = bad
-        found = ({"unlifted": list(r)} if pos is None
-                 else {"constructive": cl._decode(r, pos).key()})
-        return False, [], {"op": "join", "pair": [p.keys[a], p.keys[b]],
-                           "oracle": p.keys[z], **found}
     return True, [f"lattice: joins and meets exist and the constructive "
                   f"operations match the oracle on all pairs (n={n})"], None
 
 
 def verify_quotient(n: int):
     p = _poset(gc.CYCLE, n)
-    witness = la.lattice_failure(p)
+    witness = la.lattice_failure(p) or _quotient(n)[-1]
     if witness is not None:
         return False, [], witness
-    elems, up, down, keys = p.objects, p.up, p.down, p.keys
-    q = _poset(gc.PATH, n)
-    # cut is a lattice quotient map onto the path lattice when its fibers
-    # are intervals [low, high] with x -> low and x -> high order-preserving
-    # (a congruence, by Chajda and Snasel), and when it maps the fibers one
-    # to one onto the path tubings, order-preserving with an order-preserving
-    # inverse x -> low; a map is order-preserving when it is on covers
-    cuts = [cl.cut(t) for t in elems]
-    fibers = {}
-    for a, x in enumerate(cuts):
-        fibers.setdefault(x.tube_masks, []).append(a)
-    low, high = [0] * len(p), [0] * len(p)
-    for F in fibers.values():
-        bot = max(F, key=lambda a: up[a].bit_count())
-        top = max(F, key=lambda a: down[a].bit_count())
-        stray = sum(1 << a for a in F) ^ (up[bot] & down[top])
-        if stray:
-            z = (stray & -stray).bit_length() - 1
-            return False, [], {"fiber_not_interval": [keys[bot], keys[top]],
-                               "element": keys[z]}
-        for a in F:
-            low[a], high[a] = bot, top
-    index = {x.tube_masks: i for i, x in enumerate(q.objects)}
-    if fibers.keys() != index.keys():
-        return False, [], {
-            "cut_off_the_path": [keys[F[0]] for m, F in fibers.items()
-                                 if m not in index],
-            "empty_fibers": [q.keys[i] for m, i in index.items()
-                             if m not in fibers]}
-    at = [index[x.tube_masks] for x in cuts]
-    for a, ups in enumerate(p.covers_up):
-        for c in ups:
-            for name, ok in (("low", p.leq(low[a], low[c])),
-                             ("high", p.leq(high[a], high[c])),
-                             ("cut", q.leq(at[a], at[c]))):
-                if not ok:
-                    return False, [], {"not_monotone": name,
-                                       "cover": [keys[a], keys[c]]}
-    bottom = [low[fibers[x.tube_masks][0]] for x in q.objects]
-    for x, ups in enumerate(q.covers_up):
-        for y in ups:
-            if not p.leq(bottom[x], bottom[y]):
-                return False, [], {"path_cover_not_lifted": [q.keys[x],
-                                                             q.keys[y]]}
+    q, pos = _poset(gc.PATH, n), _index(n)
     total = 0
-    pos = {t.tube_masks: a for a, t in enumerate(elems)}
     for x in q.objects:
         words = cl.fiber_words(x)
         if len(words) != cl.fiber_size(x):
             return False, [], {"fiber_size_mismatch": x.key()}
         for w in words:
-            back = cl.cut(cl.sew(x, w))
-            if back != x:
+            if cl.cut(cl.sew(x, w)) != x:
                 return False, [], {"cut_sew_not_identity": [x.key(),
                                                             w.serialize()]}
         # the shuffle meet and join of the first and last words sew to
@@ -265,10 +314,10 @@ def verify_quotient(n: int):
         if not all(p.leq(lo, a) and p.leq(a, hi) for a in (first, last)):
             return False, [], {"fiber_bounds_wrong": x.key()}
         total += len(words)
-    if total != len(elems):
-        return False, [], {"fiber_sizes_sum": total, "expected": len(elems)}
-    for t, x in zip(elems, cuts):
-        if cl.cut(gc.relabel_reverse(t)) != gc.relabel_reverse(x):
+    if total != len(p):
+        return False, [], {"fiber_sizes_sum": total, "expected": len(p)}
+    for t, e in zip(p.objects, _quotient(n)[0]):
+        if cl.cut(gc.relabel_reverse(t)) != gc.relabel_reverse(e[0]):
             return False, [], {"cut_reversal_mismatch": t.key()}
     return True, [f"quotient: cut respects joins and meets on all pairs (n={n})",
                   f"quotient: fibers shuffle-parameterized, sizes sum to "
@@ -408,8 +457,7 @@ def verify_pairs(n: int):
     if len(pl) != expect:
         return False, [], {"pairs_count": len(pl), "expected": expect}
     graph = gc.make_graph(gc.CYCLE, n)
-    p = _poset(gc.CYCLE, n)
-    index = {t.tube_masks: i for i, t in enumerate(p.objects)}
+    p, index = _poset(gc.CYCLE, n), _index(n)
     ji_list = [(la.JiIndex(i, k),
                 index[gt.tubing_of(graph, la.canonical_ji(n, i, k)).tube_masks])
                for i in range(1, n) for k in range(1, n)]

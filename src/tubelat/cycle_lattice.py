@@ -22,11 +22,7 @@ A join has a per-tubing half, _encode (the cut image, its bracket vector
 and parent table, the shuffle word), and a per-pair half, _join_coords,
 which gives the join's bracket vector and word from two encodings; these
 determine the tubing, which _join_encoded decodes. A caller joining many
-pairs encodes once each. A caller joining every pair lifts once each:
-_lifts gives an encoding's lifts over its whole up-set in the path order,
-one rotation per target, so a pair's join is a dict lookup per argument and
-a coordinatewise max. That rests on the lift not depending on the chain of
-rotations, which the tests check.
+pairs encodes once each.
 """
 
 from __future__ import annotations
@@ -291,8 +287,9 @@ def lift(j: Tubing, x: Tubing) -> Tubing:
     taking at each step the first left edge, by its lower vertex, whose
     rotation stays below x, and rewrites j's shuffle word across each
     rotation. The result does not depend on the chain: the tests compare
-    every chain at n <= 5, and the chains of _lifts with this one on every
-    target at n <= 7. _lifts relies on it.
+    every chain at n <= 5, and the lattice verify suite proves each single
+    rotation from every cycle tubing against the oracle's join, which by
+    induction covers every chain.
     """
     _require(j, CYCLE)
     _require(x, PATH)
@@ -302,46 +299,11 @@ def lift(j: Tubing, x: Tubing) -> Tubing:
     return sew(x, ShuffleWord(x, tuple(_lift(e, _right_sizes(x)))))
 
 
-def _lifts(e: tuple) -> dict[bytes, bytes]:
-    """The lifts of the encoded tubing e over every path tubing y above its
-    cut: {y's bracket vector: _positions of the lifted word over y}.
-
-    Tamari covers are single rotations, so one depth-first search over the
-    up-rotations from the cut reaches every such y, each new one for a list
-    copy and one _rotate_up. A lift does not depend on the chain, so the
-    search may reach y by any.
-    """
-    todo, out = [(list(e[2]), list(e[1]), list(e[3]))], {}
-    out[e[1]] = _positions(e[3], _root(e[1]))
-    while todo:
-        parent, r, word = todo.pop()
-        for u in range(1, len(r)):
-            v = parent[u]
-            if u > v:  # not a left edge (or u is the root)
-                continue
-            old, r[u] = r[u], r[u] + 1 + r[v]  # the bracket vector above
-            y = bytes(r)
-            r[u] = old
-            if y not in out:
-                up = (parent[:], r[:], word[:])
-                _rotate_up(*up, u)
-                out[y] = _positions(up[2], _root(y))
-                todo.append(up)
-    return out
-
-
 # --- joins and meets --------------------------------------------------------
 
 def _root(r) -> int:
     """The root of the path tubing of bracket vector r: its tube ends at n."""
     return next(v for v in range(1, len(r)) if v + r[v] == len(r) - 1)
-
-
-def _positions(w, m: int) -> bytes:
-    """The crossing-count coordinates of a word w over a base of root m: the
-    positions of its left letters (those below m), in chain order, which
-    _merge picks by."""
-    return bytes(i for i, v in enumerate(w) if v < m)
 
 
 def _merge(w1, w2, m: int, pick) -> list[int]:
@@ -425,17 +387,6 @@ def _join_encoded(e1: tuple, e2: tuple) -> Tubing:
     """The join of two encoded cycle tubings, _join_coords decoded."""
     r, word = _join_coords(e1, e2)
     x = _path_tubing(e1[0].graph, r)
-    return sew(x, ShuffleWord(x, tuple(word)))
-
-
-def _decode(r: bytes, pos) -> Tubing:
-    """The cycle tubing whose cut has bracket vector r and whose word over it
-    has its left letters at the positions pos."""
-    x = _path_tubing(make_graph(PATH, len(r) - 1), r)
-    left, right = _zipper_chains(x)
-    word = list(right)
-    for i, a in zip(pos, left):  # as in _merge
-        word.insert(i, a)
     return sew(x, ShuffleWord(x, tuple(word)))
 
 

@@ -6,8 +6,10 @@ by literal extension search, order relations by breadth-first closure of
 the cover predicate evaluated on every ordered pair, and the Moebius
 function by the zeta recursion. The order, quotient, selfdual and pairs
 verify suites prove their statements from rows and covers; the loops over
-all pairs that they replaced stay here as their oracles, and so does the
-meet pass the lattice suite replaced by its reversal certificate.
+all pairs that they replaced stay here as their oracles. So do the join
+pass over all pairs that the lattice suite replaced by its certificates
+through the cut congruence, with the lift tables it read, and the meet
+pass it replaced by its reversal certificate.
 """
 
 import itertools
@@ -388,7 +390,7 @@ def quotient_pair_failure(p):
     at, up = p.coords.at, p.coords.masks
     dat, down = p.dual.coords.at, p.dual.coords.masks
     R = [bytes(cl._right_sizes(cl.cut(t))) for t in p.objects]
-    for x, y, pairs in cli._fiber_pairs(R):
+    for x, y, pairs in fiber_pairs(R):
         rj, rm = bytes(cl._join_brackets(x, y)), bytes(map(min, x, y))
         for a, b in pairs:
             if R[at[up[a] & up[b]]] != rj:
@@ -398,12 +400,109 @@ def quotient_pair_failure(p):
     return None
 
 
+def fiber_pairs(R):
+    """Group the elements by their cut's bracket vector R[a], so into the
+    fibers of cut, and yield (x, y, pairs) for every unordered pair of
+    fibers: their cuts' vectors and their element pairs, X x Y or, within one
+    fiber, a <= b. Every unordered pair of elements comes once."""
+    fibers = {}
+    for a, r in enumerate(R):
+        fibers.setdefault(r, []).append(a)
+    groups = list(fibers.items())
+    for i, (x, X) in enumerate(groups):
+        yield x, x, itertools.combinations_with_replacement(X, 2)
+        for y, Y in groups[i + 1:]:
+            yield x, y, itertools.product(X, Y)
+
+
+def positions(w, m: int) -> bytes:
+    """The crossing-count coordinates of a word w over a base of root m: the
+    positions of its left letters (those below m), in chain order, which
+    cl._merge picks by."""
+    return bytes(i for i, v in enumerate(w) if v < m)
+
+
+def decode(r: bytes, pos) -> tl.Tubing:
+    """The cycle tubing whose cut has bracket vector r and whose word over it
+    has its left letters at the positions pos."""
+    x = cl._path_tubing(graph("path", len(r) - 1), r)
+    left, right = gt._zipper_chains(x)
+    word = list(right)
+    for i, a in zip(pos, left):  # as in cl._merge
+        word.insert(i, a)
+    return cl.sew(x, cl.ShuffleWord(x, tuple(word)))
+
+
+def lifts(e: tuple) -> dict:
+    """The lifts of the encoded tubing e over every path tubing y above its
+    cut: {y's bracket vector: positions of the lifted word over y}.
+
+    Tamari covers are single rotations, so one depth-first search over the
+    up-rotations from the cut reaches every such y, each new one for a list
+    copy and one cl._rotate_up; it reaches y by its own chain, which the
+    tests compare with cl._lift's.
+    """
+    todo, out = [(list(e[2]), list(e[1]), list(e[3]))], {}
+    out[e[1]] = positions(e[3], cl._root(e[1]))
+    while todo:
+        parent, r, word = todo.pop()
+        for u in range(1, len(r)):
+            v = parent[u]
+            if u > v:  # not a left edge (or u is the root)
+                continue
+            old, r[u] = r[u], r[u] + 1 + r[v]  # the bracket vector above
+            y = bytes(r)
+            r[u] = old
+            if y not in out:
+                up = (parent[:], r[:], word[:])
+                cl._rotate_up(*up, u)
+                out[y] = positions(up[2], cl._root(y))
+                todo.append(up)
+    return out
+
+
+def join_pair_failure(es, coords):
+    """The first pair (a, b, z, r, pos) of the encodings es whose join by
+    lifts differs from z, the oracle's join, found by phi(a) & phi(b) in
+    coords: r joins the cuts, pos is the max of the two lifts' positions
+    over r, or None when r fails to lie above both cuts and so a lift is
+    missing. A pair compares (bracket vector, positions), which determine a
+    cycle tubing, with those of z."""
+    table = [lifts(e) for e in es]
+    key = [(e[1], positions(e[3], cl._root(e[1]))) for e in es]
+    at, masks = coords.at, coords.masks
+    for x, y, pairs in fiber_pairs([e[1] for e in es]):
+        r = bytes(cl._join_brackets(x, y))
+        for a, b in pairs:
+            pa, pb = table[a].get(r), table[b].get(r)
+            pos = None if pa is None or pb is None else bytes(map(max, pa, pb))
+            z = at[masks[a] & masks[b]]
+            if (r, pos) != key[z]:
+                return a, b, z, r, pos
+    return None
+
+
+def lattice_join_failure(p):
+    """The join pass verify_lattice ran before its certificates: the join by
+    lift tables of every unordered pair of the cycle lattice p, checked
+    against the oracle's join by its coordinates. The first failing pair,
+    as that pass named it, or None."""
+    bad = join_pair_failure([cl._encode(t) for t in p.objects], p.coords)
+    if bad is None:
+        return None
+    a, b, z, r, pos = bad
+    found = ({"unlifted": list(r)} if pos is None
+             else {"constructive": decode(r, pos).key()})
+    return {"op": "join", "pair": [p.keys[a], p.keys[b]],
+            "oracle": p.keys[z], **found}
+
+
 def lattice_meet_failure(p):
     """The meet pass verify_lattice ran before its reversal certificate:
     the constructive join of the reversals of every unordered pair of the
     cycle lattice p, checked against the oracle's meet by the dual's
     coordinates. The first failing pair, as that pass named it, or None."""
-    bad = cli._join_failure([cl._encode(gc.relabel_reverse(t))
+    bad = join_pair_failure([cl._encode(gc.relabel_reverse(t))
                              for t in p.objects], p.dual.coords)
     if bad is None:
         return None
@@ -413,7 +512,7 @@ def lattice_meet_failure(p):
     if pos is None:
         witness["unlifted"] = list(r)
     else:
-        witness["constructive"] = gc.relabel_reverse(cl._decode(r, pos)).key()
+        witness["constructive"] = gc.relabel_reverse(decode(r, pos)).key()
     return witness
 
 

@@ -15,7 +15,8 @@ from tubelat import cycle_lattice as cl
 from tubelat import graph_core as gc
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
-from helpers import (diamond, graph, lattice_meet_failure, load_fixture,
+from helpers import (diamond, fiber_pairs, graph, lattice_join_failure,
+                     lattice_meet_failure, load_fixture,
                      order_pair_failure, pairs_order_failure,
                      quotient_pair_failure, search_tree_tubing,
                      selfdual_pair_failure)
@@ -291,10 +292,12 @@ def test_ji_kappa_forcing_commands(capsys):
     (("forcing", "--n", "100000"), 3),
     (("forcing", "--n", "100000", "--force"), 2),
     (("verify", "--selector", "cu", "--n", "100000", "--force"), 2),
+    (("verify", "--selector", "lattice", "--n", "10"), 3),
     (("kappa", "--n", "100000", "--i", "99999", "--k", "99999"), 2),
     (("kappa", "--n", "2", "--i", "1", "--k", "1"), 2),
 ], ids=["ji", "forcing-cap", "forcing-huge", "forcing-huge-forced",
-        "verify-cu-huge-forced", "kappa-huge", "kappa-too-small"])
+        "verify-cu-huge-forced", "verify-lattice-cap", "kappa-huge",
+        "kappa-too-small"])
 def test_huge_n_exits_before_allocating(capsys, argv, want):
     tracemalloc.start()
     try:
@@ -325,7 +328,7 @@ def test_verify_selectors(capsys):
     assert code == 0 and "PASS ji" in out
     code, out, _ = run(capsys, "verify", "--selector", "lattice", "--n", "3")
     assert code == 0
-    for selector, cap in (("lattice", 7), ("order", 9), ("quotient", 9),
+    for selector, cap in (("lattice", 9), ("order", 9), ("quotient", 9),
                           ("sdl", 9), ("selfdual", 9), ("regular", 9),
                           ("pairs", 5)):
         code, out, err = run(capsys, "verify", "--selector", selector,
@@ -441,6 +444,18 @@ def test_tree_move_check_agrees_with_the_rebuilt_tubing(n):
                 assert cli._encodes(m, flip.down_masks) == rebuilt == want
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_a_flip_moves_two_down_masks(n):
+    # verify_order reads a flip's down masks as t's with two entries
+    # replaced: the tube of v becomes the tube Y of u, the top of the tube
+    # holding v's, and the tube of u the replacement
+    for t in cli._poset("cycle", n).objects:
+        for x, rep, v, u in gc._flips(t):
+            down = list(t.down_masks)
+            down[v], down[u] = down[u], rep
+            assert tuple(down) == gc._swap(t, x, rep).down_masks
+
+
 @pytest.mark.parametrize("broken", [grandchild_to_grandparent, two_cycle,
                                     rooted_at_a_leaf])
 def test_verify_order_fails_on_a_broken_tree_move(monkeypatch, broken):
@@ -486,33 +501,139 @@ def test_verify_selfdual_fails_when_reversal_keeps_the_order(monkeypatch):
 
 
 def test_fiber_pairs_give_every_unordered_pair_once():
-    # the lattice suite and the quotient's pair oracle check exactly the
-    # pairs this yields
+    # the reference join pass and the quotient's pair oracle check exactly
+    # the pairs this yields
     R = [bytes(cl._right_sizes(cl.cut(t)))
          for t in cli._poset("cycle", 5).objects]
     got = []
-    for x, y, pairs in cli._fiber_pairs(R):
+    for x, y, pairs in fiber_pairs(R):
         for a, b in pairs:
             assert (R[a], R[b]) == (x, y)
             got.append((min(a, b), max(a, b)))
     assert sorted(got) == [(a, b) for a in range(70) for b in range(a, 70)]
 
 
+def join_brackets_skipping_vertex_one(r1, r2):
+    """cl._join_brackets with its nesting pass stopped before vertex 1."""
+    r = list(map(max, r1, r2))
+    for v in range(len(r) - 2, 1, -1):
+        end, w = v + r[v], v + 1
+        while w <= end:
+            w += r[w] + 1
+        r[v] = w - 1 - v
+    return r
+
+
+def rotate_up_right_zipper_before(real):
+    """cl._rotate_up with u put into the right zipper just before v, not
+    just after: the positions of the left letters do not change."""
+    def rotate(parent, r, word, u):
+        v = parent[u]
+        joins = parent[v] != 0 and u not in word and v in word
+        real(parent, r, word, u)
+        if joins:
+            word.remove(u)
+            word.insert(word.index(v), u)
+    return rotate
+
+
+def merge_keeping_the_first(real):
+    """cl._merge that keeps the crossing counts of its first word."""
+    return lambda w1, w2, m, pick: real(w1, w2, m, lambda i, j: i)
+
+
 def test_verify_lattice_fails_on_a_wrong_join(monkeypatch):
-    # t's lift over its own cut reads as that of s, another element of its
-    # fiber; the bottom's lift there is the fiber's least element, so the
-    # join of the bottom and t reads as s
+    # a rotation at the root puts the old root first in the right zipper,
+    # not last: lifting the bottom over the cut of its upper cover 1 gives
+    # another element of that fiber, and so does the bottom's join with 1;
+    # the reference join pass names the same pair
     p = cli._poset("cycle", 4)
-    t = p.objects[1]
-    e, real = cl._encode(t), cl._lifts
-    s = next(u for u in p.objects if u != t and cl._encode(u)[1] == e[1])
-    bad = real(cl._encode(s))[e[1]]
-    monkeypatch.setattr(cl, "_lifts", lambda f: {**real(f), e[1]: bad}
-                        if f == e else real(f))
-    ok, lines, witness = cli.verify_lattice(4)
-    assert not ok and lines == []
-    assert witness == {"op": "join", "pair": [p.keys[0], p.keys[1]],
-                       "constructive": s.key(), "oracle": p.keys[1]}
+    real = cl._rotate_up
+
+    def rotate(parent, r, word, u):
+        real(parent, r, word, u)
+        if parent[u] == 0:
+            word.insert(0, word.pop())
+
+    monkeypatch.setattr(cl, "_rotate_up", rotate)
+    witness = {"op": "join", "pair": [p.keys[0], p.keys[1]],
+               "oracle": p.keys[1],
+               "constructive": "[[4],[1,4],[1,2,4],[1,2,3,4]]"}
+    assert list(p.keys[:2]) == ["[[1],[1,2],[1,2,3],[1,2,3,4]]",
+                                "[[1],[1,2],[1,2,4],[1,2,3,4]]"]
+    assert cli.verify_lattice(4) == (False, [], witness)
+    assert lattice_join_failure(p) == witness
+
+
+@pytest.mark.parametrize("name, mutate, witness", [
+    ("_join_brackets", lambda real: join_brackets_skipping_vertex_one,
+     {"op": "path_join", "max": [0, 1, 1, 0, 0], "oracle": [0, 2, 1, 0, 0],
+      "constructive": [0, 1, 1, 0, 0]}),
+    ("_rotate_up", rotate_up_right_zipper_before,
+     {"op": "join", "pair": ["[[1],[3],[1,3,4],[1,2,3,4]]",
+                             "[[1],[1,4],[1,3,4],[1,2,3,4]]"],
+      "oracle": "[[1],[1,4],[1,3,4],[1,2,3,4]]",
+      "constructive": "[[1],[1,3,4],[1,3,4],[1,2,3,4]]"}),
+    ("_merge", merge_keeping_the_first,
+     {"op": "join", "pair": ["[[1],[1,2],[1,2,4],[1,2,3,4]]",
+                             "[[1],[1,4],[1,2,4],[1,2,3,4]]"],
+      "oracle": "[[1],[1,4],[1,2,4],[1,2,3,4]]",
+      "constructive": "[[1],[1,2],[1,2,4],[1,2,3,4]]"}),
+], ids=["join_brackets", "rotate_up", "merge"])
+def test_verify_lattice_fails_on_each_broken_step(monkeypatch, name, mutate,
+                                                  witness):
+    # each of the three steps of join_cycle, broken alone, fails its own
+    # certificate: the Tamari join names the max it fails on, the lift and
+    # the fiber join a pair with the oracle's join and join_cycle's answer.
+    # The reference join pass compares positions, blind to the order of
+    # the right zipper, and joins them by its own max, not by _merge
+    monkeypatch.setattr(cl, name, mutate(getattr(cl, name)))
+    assert cli.verify_lattice(4) == (False, [], witness)
+    reference = lattice_join_failure(cli._poset("cycle", 4))
+    assert (reference is not None) == (name == "_join_brackets")
+
+
+@pytest.mark.parametrize("raise_by, witness", [
+    (1, {"op": "join", "pair": ["[[1],[1,2],[1,2,3],[1,2,3,4]]",
+                                "[[2],[2,3],[1,2,3],[1,2,3,4]]"],
+         "oracle": "[[2],[2,3],[1,2,3],[1,2,3,4]]",
+         "constructive": "ValueError('3 is not in list')"}),
+    (5, {"op": "join", "rotated_off_the_path": [
+        "[[1],[1,2],[1,2,3],[1,2,3,4]]", 1]}),
+], ids=["join_cycle_raises", "off_the_path"])
+def test_verify_lattice_reports_a_rotation_that_breaks_the_vector(
+        monkeypatch, capsys, raise_by, witness):
+    # a rotation that raises r[u] too far: join_cycle itself fails on the
+    # pair, or the vector is no path tubing; each is a witness, exit 1
+    real = cl._rotate_up
+
+    def rotate(parent, r, word, u):
+        real(parent, r, word, u)
+        r[u] += raise_by
+
+    monkeypatch.setattr(cl, "_rotate_up", rotate)
+    code, out, err = run(capsys, "verify", "--selector", "lattice", "--n", "4")
+    assert code == 1 and out == "FAIL lattice (n=4)\n"
+    assert json.loads(err)["counterexample"] == witness
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_verify_lattice_agrees_with_the_join_pass(n):
+    assert cli.verify_lattice(n) == (True, [
+        f"lattice: joins and meets exist and the constructive operations "
+        f"match the oracle on all pairs (n={n})"], None)
+    assert lattice_join_failure(cli._poset("cycle", n)) is None
+
+
+def test_verify_lattice_fails_with_the_quotient_witness(monkeypatch):
+    # the lattice suite proves the joins through the cut congruence, so a
+    # cut that is no congruence fails it with the quotient's witness
+    p = cli._poset("cycle", 4)
+    bottom, one = cl.cut(p.objects[0]), cl.cut(p.objects[1])
+    cut_sending(monkeypatch, lambda t, x: bottom if x == one else x)
+    witness = {"cut_off_the_path": [], "empty_fibers": [one.key()]}
+    assert cli.verify_lattice(4) == (False, [], witness)
+    assert cli.verify_quotient(4) == (False, [], witness)
 
 
 def test_verify_lattice_fails_when_reversal_keeps_the_order(monkeypatch):
@@ -575,8 +696,10 @@ def test_verify_sdl_fails_on_m3(monkeypatch, capsys):
 
 def test_verify_lattice_reports_a_join_above_neither_cut(monkeypatch,
                                                          capsys):
-    # the join of two cuts above the bottom reads as the bottom, which lies
-    # above neither, so neither has a lift there: a witness, not a KeyError
+    # the join of two bracket vectors other than the bottom's reads as the
+    # bottom, which lies above neither: the box certificate names the first
+    # max it fails on, the least bracket vector above it and the one built;
+    # the reference join pass finds no lift there, a witness, not a KeyError
     p = cli._poset("cycle", 4)
     real = cl._join_brackets
     monkeypatch.setattr(cl, "_join_brackets", lambda r1, r2: real(r1, r2)
@@ -584,14 +707,35 @@ def test_verify_lattice_reports_a_join_above_neither_cut(monkeypatch,
     code, out, err = run(capsys, "verify", "--selector", "lattice", "--n", "4")
     assert code == 1 and out == "FAIL lattice (n=4)\n"
     assert json.loads(err)["counterexample"] == {
+        "op": "path_join", "max": [0, 0, 0, 1, 0], "oracle": [0, 0, 0, 1, 0],
+        "constructive": [0] * 5}
+    assert lattice_join_failure(p) == {
         "op": "join", "pair": [p.keys[1], p.keys[1]], "oracle": p.keys[1],
         "unlifted": [0] * 5}
 
 
+def test_verify_lattice_fails_when_the_path_order_is_not_componentwise(
+        monkeypatch):
+    # the path poset gains a cover between two upper covers of its bottom,
+    # which are incomparable bracket vectors: the joins of the path lattice
+    # are then no longer read off the vectors, and the rows name the pair
+    real = cli._poset
+    path = real("path", 4)
+    x, y = path.covers_up[0][:2]
+    covers = [c + (y,) if i == x else c for i, c in enumerate(path.covers_up)]
+    q = la.FinitePoset.from_covers(path.keys, covers, path.objects)
+    monkeypatch.setattr(cli, "_poset", lambda kind, n: q if kind == "path"
+                        else real(kind, n))
+    assert cli._path_join_failure(q, 4) == {
+        "path_order_not_componentwise": [q.keys[x], q.keys[y]]}
+
+
 def cut_sending(monkeypatch, send):
-    """Replace cut(t) by send(t, cut(t)), a path tubing."""
+    """Replace cut(t) by send(t, cut(t)), a path tubing, and drop the
+    quotient that cli._quotient cached through the cut before."""
     real = cl.cut
     monkeypatch.setattr(cl, "cut", lambda t: send(t, real(t)))
+    cli._quotient.cache_clear()
 
 
 def test_verify_quotient_fails_when_two_fibers_merge(monkeypatch):

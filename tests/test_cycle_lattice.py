@@ -7,8 +7,8 @@ import tubelat as tl
 from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat.graph_core import vertices_of
-from helpers import (closure_leq, graph, load_fixture, poset,
-                     reference_join_brackets, tubings)
+from helpers import (closure_leq, graph, lifts, load_fixture, poset,
+                     positions, reference_join_brackets, tubings)
 
 
 def tubing_from(obj) -> tl.Tubing:
@@ -327,19 +327,20 @@ def test_lift_is_independent_of_the_chain():
 
 
 def test_lift_table_matches_the_walk_on_every_target():
-    # _lifts reaches each target by its own chain of rotations; it must hold
-    # every path tubing above the cut, each with the first-fit walk's word
+    # the reference lift table reaches each target by its own chain of
+    # rotations; it must hold every path tubing above the cut, each with
+    # the first-fit walk's word
     for n in range(3, 8):
         targets = [cl._right_sizes(x) for x in tubings("path", n)]
         for j in tubings("cycle", n):
             e = cl._encode(j)
             above = [r for r in targets
                      if all(a <= b for a, b in zip(e[1], r))]
-            table = cl._lifts(e)
+            table = lifts(e)
             assert table.keys() == {bytes(r) for r in above}
             for r in above:
-                assert table[bytes(r)] == cl._positions(cl._lift(e, r),
-                                                        cl._root(r))
+                assert table[bytes(r)] == positions(cl._lift(e, r),
+                                                    cl._root(r))
 
 
 def test_lift_requires_comparable_cut():
@@ -409,6 +410,17 @@ def test_join_brackets_matches_the_reference_loop(n):
     for r1 in vectors:
         for r2 in vectors:
             assert cl._join_brackets(r1, r2) == reference_join_brackets(r1, r2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_join_brackets_reads_only_the_max(n):
+    # the lattice suite's box certificate checks _join_brackets(m, m) on
+    # every m, which covers every pair only because of this
+    vectors = [bytes(cl._right_sizes(t)) for t in tubings("path", n)]
+    for r1 in vectors:
+        for r2 in vectors:
+            m = bytes(map(max, r1, r2))
+            assert cl._join_brackets(r1, r2) == cl._join_brackets(m, m)
 
 
 def test_path_meets_and_joins_are_componentwise_on_subtree_sizes():
