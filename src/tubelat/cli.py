@@ -316,9 +316,11 @@ def verify_quotient(n: int):
         total += len(words)
     if total != len(p):
         return False, [], {"fiber_sizes_sum": total, "expected": len(p)}
-    for t, e in zip(p.objects, _quotient(n)[0]):
-        if cl.cut(gc.relabel_reverse(t)) != gc.relabel_reverse(e[0]):
-            return False, [], {"cut_reversal_mismatch": t.key()}
+    # cut commutes with reversal: the cut of rev a is the reversed cut of a
+    es, rev = _quotient(n)[0], _reversal(n)[0]
+    for a, e in enumerate(es):
+        if rev[a] is None or es[rev[a]][0] != gc.relabel_reverse(e[0]):
+            return False, [], {"cut_reversal_mismatch": p.keys[a]}
     return True, [f"quotient: cut respects joins and meets on all pairs (n={n})",
                   f"quotient: fibers shuffle-parameterized, sizes sum to "
                   f"{total}, cut after sew is the identity (n={n})"], None
@@ -438,15 +440,15 @@ def verify_selfdual(n: int):
 
 
 def verify_regular(n: int):
-    graph = gc.make_graph(gc.CYCLE, n)
-    elems = gc.enumerate_maximal_tubings(graph)
+    p = _poset(gc.CYCLE, n)
     expect = math.comb(2 * n - 2, n - 1)
-    if len(elems) != expect:
-        return False, [], {"count": len(elems), "expected": expect}
-    for t in elems:
-        nbrs = {t2.tube_masks for t2, _, _ in gc.iter_flip_neighbors(graph, t)}
-        if len(nbrs) != n - 1:
-            return False, [], {"degree": len(nbrs), "at": t.key()}
+    if len(p) != expect:
+        return False, [], {"count": len(p), "expected": expect}
+    # a flip is an up-flip of one of its ends: neighbours are covers
+    for a, (ups, downs) in enumerate(zip(p.covers_up, p.covers_down)):
+        degree = len(set(ups) | set(downs))
+        if degree != n - 1:
+            return False, [], {"degree": degree, "at": p.keys[a]}
     return True, [f"regular: {expect} tubings, flip graph is "
                   f"{n - 1}-regular (n={n})"], None
 
@@ -488,7 +490,7 @@ VERIFIERS = {"lattice": verify_lattice, "order": verify_order,
 # --- commands -----------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    cap = ENUM_CAPS.get(args.graph, 8)
+    cap = ENUM_CAPS[args.graph]
     if args.n > cap and not args.force:
         return _fail(f"enumerate cap for {args.graph} is n <= {cap} "
                      f"(use --force to override)", 3)

@@ -17,12 +17,6 @@ lifting both arguments into the fiber over that join, and joining the
 resulting shuffle words coordinatewise. A lift climbs from the cut image to
 its target one tree rotation at a time, always taking the first rotation
 that stays below the target, and rewrites the shuffle word on the way.
-
-A join has a per-tubing half, _encode (the cut image, its bracket vector
-and parent table, the shuffle word), and a per-pair half, _join_coords,
-which gives the join's bracket vector and word from two encodings; these
-determine the tubing, which _join_encoded decodes. A caller joining many
-pairs encodes once each.
 """
 
 from __future__ import annotations
@@ -376,20 +370,6 @@ def join_path(x: Tubing, y: Tubing) -> Tubing:
     return _path_tubing(x.graph, _join_brackets(_right_sizes(x), _right_sizes(y)))
 
 
-def _join_coords(e1: tuple, e2: tuple) -> tuple[bytes, bytes]:
-    """The join of two encodings as an encoding's (e[1], e[3]): the words,
-    lifted over the join of the cuts, merged by the max crossing counts."""
-    r = _join_brackets(e1[1], e2[1])
-    return bytes(r), bytes(_merge(_lift(e1, r), _lift(e2, r), _root(r), max))
-
-
-def _join_encoded(e1: tuple, e2: tuple) -> Tubing:
-    """The join of two encoded cycle tubings, _join_coords decoded."""
-    r, word = _join_coords(e1, e2)
-    x = _path_tubing(e1[0].graph, r)
-    return sew(x, ShuffleWord(x, tuple(word)))
-
-
 def join_cycle(j: Tubing, k: Tubing) -> Tubing:
     """Join of two cycle tubings.
 
@@ -399,7 +379,11 @@ def join_cycle(j: Tubing, k: Tubing) -> Tubing:
     _require(j, CYCLE)
     _require(k, CYCLE)
     _same_n(j, k)
-    return _join_encoded(_encode(j), _encode(k))
+    e1, e2 = _encode(j), _encode(k)
+    r = _join_brackets(e1[1], e2[1])
+    x = _path_tubing(e1[0].graph, r)
+    word = _merge(_lift(e1, r), _lift(e2, r), _root(r), max)
+    return sew(x, ShuffleWord(x, tuple(word)))
 
 
 def meet_cycle(j: Tubing, k: Tubing) -> Tubing:

@@ -552,9 +552,6 @@ def check_semidistributive(p: FinitePoset) -> bool:
 
 # --- maximal orthogonal pairs -----------------------------------------------
 
-MAX_PAIR_GENERATORS = 25  # grid size (n-1)^2 that pairs_lattice accepts
-
-
 def _orthogonal_closure(fs: ForcingSystem):
     """Map a mask X over fs.universe to (closed set, orthogonal complement).
 
@@ -598,9 +595,6 @@ def pairs_lattice(n: int) -> FinitePoset:
     fs = forcing_system(n)
     universe = fs.universe
     size = len(universe)
-    if size > MAX_PAIR_GENERATORS:
-        raise ValueError(f"{size} generators exceed the cap of "
-                         f"{MAX_PAIR_GENERATORS}")
     closure = _orthogonal_closure(fs)
     above: dict[int, set[int]] = {}
     frontier = [closure(0)[0]]

@@ -859,6 +859,70 @@ def test_verify_quotient_reports_a_bound_sewn_off_the_poset(monkeypatch):
         "sewn_off_the_poset": [x.key(), bad.serialize()]})
 
 
+def test_verify_quotient_names_an_element_whose_cut_is_not_reversed(
+        monkeypatch):
+    # the bottom's cached cut reads as another element's, so the reversed
+    # cut of the bottom is no longer the cut of its reversal, the top; a
+    # reversal that is no element counts as a mismatch too
+    p = cli._poset("cycle", 4)
+    es, fibers, low, witness = cli._quotient(4)
+    c = next(c for c, e in enumerate(es) if e[0] != es[0][0])
+    bad = [(es[c][0],) + es[0][1:]] + es[1:]
+    rev = cli._reversal(4)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_quotient", lambda n: (bad, fibers, low, witness))
+        assert cli.verify_quotient(4) == (False, [], {
+            "cut_reversal_mismatch": p.keys[0]})
+    monkeypatch.setattr(cli, "_reversal", lambda n: (
+        rev[0][:5] + [None] + rev[0][6:], rev[1]))
+    assert cli.verify_quotient(4) == (False, [], {
+        "cut_reversal_mismatch": p.keys[5]})
+
+
+def test_lifts_leave_the_shared_encodings_unchanged():
+    # _lift rotates copies, so lifting each encoding of cli._quotient over
+    # every path tubing above its cut, in either order, changes no encoding
+    # and gives the same words
+    p, q = cli._poset("cycle", 5), cli._poset("path", 5)
+    es = cli._quotient(5)[0]
+    R = [bytes(cl._right_sizes(x)) for x in q.objects]
+    at = {r: i for i, r in enumerate(R)}
+    jobs = [(e, list(R[y])) for e in es for y in la._bits(q.up[at[e[1]]])]
+    forward = [cl._lift(e, r) for e, r in jobs]
+    backward = [cl._lift(e, r) for e, r in reversed(jobs)]
+    assert len(jobs) > len(es) and forward == backward[::-1]
+    assert es == [cl._encode(t) for t in p.objects]
+
+
+def test_verify_regular_fails_when_a_cover_is_dropped(monkeypatch):
+    # element 5 loses its first upper cover from its own covers, while
+    # that cover still lists 5 below it: 5 alone has n - 2 flip neighbours
+    real = cli._poset("cycle", 4)
+    covers = tuple(c[1:] if a == 5 else c
+                   for a, c in enumerate(real.covers_up))
+    p = dataclasses.replace(real, covers_up=covers)
+    monkeypatch.setattr(cli, "_poset", lambda kind, n: p)
+    assert cli.verify_regular(4) == (False, [], {"degree": 2,
+                                                 "at": p.keys[5]})
+
+
+def test_verify_regular_fails_on_a_wrong_count(monkeypatch):
+    real = cli._poset
+    monkeypatch.setattr(cli, "_poset", lambda kind, n: real(kind, n - 1))
+    assert cli.verify_regular(5) == (False, [], {"count": 20,
+                                                 "expected": 70})
+
+
+def test_verify_pairs_has_no_cap_beyond_the_verify_cap(capsys):
+    code, out, err = run(capsys, "verify", "--selector", "pairs", "--n", "6")
+    assert code == 3 and out == "" and "pairs is n <= 5" in err
+    code, out, _ = run(capsys, "verify", "--selector", "pairs", "--n", "7",
+                       "--force")
+    assert code == 0 and out == ("PASS pairs (n=7)\n  pairs: maximal "
+                                 "orthogonal pairs rebuild the lattice, 924 "
+                                 "elements (n=7)\n")
+
+
 @pytest.mark.parametrize("patch, b, mu", [
     ({69: 2}, 69, 2), ({69: -2}, 69, -2), ({69: 2, 5: -3}, 5, -3)],
     ids=["above", "below", "first_in_index_order"])

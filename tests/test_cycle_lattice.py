@@ -473,19 +473,6 @@ def test_join_cycle_matches_poset_oracle():
                 assert index[m.tube_masks] == p.meet_table[a][b]
 
 
-def test_encoded_joins_do_not_depend_on_the_order_of_the_pairs():
-    # the lifts rotate copies, so no join may change an encoding that a
-    # later pair reads
-    p = poset("cycle", 5)
-    enc = [cl._encode(t) for t in p.objects]
-    index = {t.tube_masks: i for i, t in enumerate(p.objects)}
-    pairs = [(a, b) for a in range(len(p)) for b in range(len(p))]
-    for order in (pairs, pairs[::-1]):
-        assert [index[cl._join_encoded(enc[a], enc[b]).tube_masks]
-                for a, b in order] == [p.join_table[a][b] for a, b in order]
-    assert enc == [cl._encode(t) for t in p.objects]
-
-
 def test_cut_is_a_quotient_of_joins_and_meets():
     for n in (4, 5):
         elems = tubings("cycle", n)

@@ -734,11 +734,6 @@ def test_pairs_lattice_covers_match_the_containment_order():
         assert pl == want
 
 
-def test_pairs_lattice_rejects_large_grids():
-    with pytest.raises(ValueError):
-        la.pairs_lattice(7)
-
-
 # --- exports -------------------------------------------------------------------------
 
 def test_hasse_dot_export():

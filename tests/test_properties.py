@@ -87,12 +87,10 @@ def test_cut_and_sew_are_inverse(j, data):
 @LAWS
 @given(cycle_pairs())
 def test_join_coordinates_are_those_of_the_join(pair):
-    # the coordinates are an encoding's bracket vector and word, and a
-    # checked sew decodes them
+    # the join's cut is the path join of the two cuts, and a checked sew of
+    # the join's word over that cut gives the join back
     j, k = pair
     join = cl.join_cycle(j, k)
-    r, word = cl._join_coords(cl._encode(j), cl._encode(k))
-    e = cl._encode(join)
-    assert (r, word) == (e[1], e[3])
-    x = cl._path_tubing(tl.make_graph("path", j.n), r)
-    assert x == e[0] and cl.sew(x, word) == join
+    x = cl.cut(join)
+    assert x == cl.join_path(cl.cut(j), cl.cut(k))
+    assert cl.sew(x, list(cl.word_of(join).word)) == join
