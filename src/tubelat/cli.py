@@ -49,19 +49,14 @@ def _poset(kind: str, n: int) -> la.FinitePoset:
 
 
 @lru_cache(maxsize=None)
-def _index(n: int) -> dict:
-    """{t.tube_masks: index of t} over the cycle poset at n."""
-    return {t.tube_masks: i for i, t in enumerate(_poset(gc.CYCLE, n).objects)}
-
-
-@lru_cache(maxsize=None)
 def _reversal(n: int):
     """(rev, witness) on the cycle poset at n: rev[a] indexes the reversal
     of element a, None when it is not an element, and witness is None when
     rev is an involution that makes rev a an upper cover of rev b for each
     upper cover b of a. An involution that reverses the covers reverses the
     order, so it is an order anti-automorphism of the poset."""
-    p, index = _poset(gc.CYCLE, n), _index(n)
+    p = _poset(gc.CYCLE, n)
+    index = {t.tube_masks: i for i, t in enumerate(p.objects)}
     rev = [index.get(gc.relabel_reverse(t).tube_masks) for t in p.objects]
     for a in range(len(p)):
         if rev[a] is None or rev[rev[a]] != a:
@@ -78,7 +73,8 @@ def _quotient(n: int):
     """(es, fibers, low, witness) on the cycle poset at n: es[a] is
     cl._encode of element a, fibers maps each cut's bracket vector to its
     elements and low to the least of them; witness is None when cut is a
-    lattice quotient map onto the path lattice, if the poset is a lattice."""
+    lattice quotient map onto the path lattice, if the poset is a lattice,
+    and each element is the decode of its encoding."""
     p = _poset(gc.CYCLE, n)
     es = [cl._encode(t) for t in p.objects]
     fibers = {}
@@ -86,8 +82,15 @@ def _quotient(n: int):
         fibers.setdefault(e[1], []).append(a)
     low = {r: max(F, key=lambda a: p.up[a].bit_count())
            for r, F in fibers.items()}
-    return es, fibers, low, _congruence_failure(p, _poset(gc.PATH, n),
-                                                fibers, low)
+    path = gc.make_graph(gc.PATH, n)
+    xs = {r: cl._path_tubing(path, r) for r in fibers}
+    # each element is the decode that join_cycle and lift make: its word
+    # sewn over the path tubing of its bracket vector, which is its cut
+    bad = (a for a, (x, r, _, w) in enumerate(es) if x != xs[r]
+           or cl.sew(x, cl.ShuffleWord(x, tuple(w))) != p.objects[a])
+    return es, fibers, low, (
+        _congruence_failure(p, _poset(gc.PATH, n), fibers, low)
+        or next(({"not_decoded": p.keys[a]} for a in bad), None))
 
 
 def _congruence_failure(p, q, fibers, low):
@@ -292,38 +295,35 @@ def verify_quotient(n: int):
     witness = la.lattice_failure(p) or _quotient(n)[-1]
     if witness is not None:
         return False, [], witness
-    q, pos = _poset(gc.PATH, n), _index(n)
-    total = 0
-    for x in q.objects:
-        words = cl.fiber_words(x)
-        if len(words) != cl.fiber_size(x):
-            return False, [], {"fiber_size_mismatch": x.key()}
-        for w in words:
-            if cl.cut(cl.sew(x, w)) != x:
-                return False, [], {"cut_sew_not_identity": [x.key(),
-                                                            w.serialize()]}
-        # the shuffle meet and join of the first and last words sew to
-        # bounds of both, compared in the poset
-        ends = (cl.shuffle_meet(x, words[0], words[-1]), words[0], words[-1],
-                cl.shuffle_join(x, words[0], words[-1]))
-        ix = [pos.get(cl.sew(x, w).tube_masks) for w in ends]
-        if None in ix:
-            w = ends[ix.index(None)]
-            return False, [], {"sewn_off_the_poset": [x.key(), w.serialize()]}
-        lo, first, last, hi = ix
-        if not all(p.leq(lo, a) and p.leq(a, hi) for a in (first, last)):
-            return False, [], {"fiber_bounds_wrong": x.key()}
-        total += len(words)
-    if total != len(p):
-        return False, [], {"fiber_sizes_sum": total, "expected": len(p)}
     # cut commutes with reversal: the cut of rev a is the reversed cut of a
-    es, rev = _quotient(n)[0], _reversal(n)[0]
+    (es, fibers, _, _), rev = _quotient(n), _reversal(n)[0]
     for a, e in enumerate(es):
         if rev[a] is None or es[rev[a]][0] != gc.relabel_reverse(e[0]):
             return False, [], {"cut_reversal_mismatch": p.keys[a]}
+    # _quotient proved each element of the fiber F over x the sew of its
+    # word and x its cut; F's words being the fiber_size(x) distinct fiber
+    # words of x, sew is a bijection from them onto F, the whole cut^-1(x)
+    for F in fibers.values():
+        x = es[F[0]][0]
+        at = {es[a][3]: a for a in F}
+        words = cl.fiber_words(x)
+        if (not len(F) == len(at) == len(words) == cl.fiber_size(x)
+                or at.keys() != {bytes(w.word) for w in words}):
+            return False, [], {"fiber_words_mismatch": x.key()}
+        # the shuffle meet and join of the first and last words are words
+        # of the fiber and bound both in the poset
+        ends = (cl.shuffle_meet(x, words[0], words[-1]), words[0], words[-1],
+                cl.shuffle_join(x, words[0], words[-1]))
+        ix = [at.get(bytes(w.word)) for w in ends]
+        if None in ix:
+            w = ends[ix.index(None)]
+            return False, [], {"bound_off_the_fiber": [x.key(), w.serialize()]}
+        lo, first, last, hi = ix
+        if not all(p.leq(lo, a) and p.leq(a, hi) for a in (first, last)):
+            return False, [], {"fiber_bounds_wrong": x.key()}
     return True, [f"quotient: cut respects joins and meets on all pairs (n={n})",
                   f"quotient: fibers shuffle-parameterized, sizes sum to "
-                  f"{total}, cut after sew is the identity (n={n})"], None
+                  f"{len(p)}, cut after sew is the identity (n={n})"], None
 
 
 def verify_sdl(n: int):
@@ -459,7 +459,8 @@ def verify_pairs(n: int):
     if len(pl) != expect:
         return False, [], {"pairs_count": len(pl), "expected": expect}
     graph = gc.make_graph(gc.CYCLE, n)
-    p, index = _poset(gc.CYCLE, n), _index(n)
+    p = _poset(gc.CYCLE, n)
+    index = {t.tube_masks: i for i, t in enumerate(p.objects)}
     ji_list = [(la.JiIndex(i, k),
                 index[gt.tubing_of(graph, la.canonical_ji(n, i, k)).tube_masks])
                for i in range(1, n) for k in range(1, n)]
@@ -615,8 +616,6 @@ def cmd_verify(args) -> int:
     if args.selector == "all":
         plan = [(s, min(args.n, VERIFY_CAPS[s])) for s in SELECTORS]
     else:
-        if args.selector not in VERIFIERS:
-            return _fail(f"unknown selector {args.selector!r}", 2)
         cap = VERIFY_CAPS[args.selector]
         if args.n > cap and not args.force:
             return _fail(f"verify cap for {args.selector} is n <= {cap} "

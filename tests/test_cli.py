@@ -846,17 +846,107 @@ def test_verify_quotient_fails_when_the_fiber_bounds_are_wrong(monkeypatch,
         "fiber_bounds_wrong": x.key()})
 
 
-def test_verify_quotient_reports_a_bound_sewn_off_the_poset(monkeypatch):
+def test_verify_quotient_reports_a_bound_off_the_fiber(monkeypatch):
     # the meet reads as the first word reversed, which over the path's
-    # bottom sews to no cycle tubing of the poset: a witness, not a KeyError
-    p, q = cli._poset("cycle", 4), cli._poset("path", 4)
-    x = q.objects[0]
+    # bottom is no word of its fiber: a witness, not a KeyError
+    x = cli._poset("path", 4).objects[0]
     bad = cl.ShuffleWord(x, cl.fiber_words(x)[0].word[::-1])
-    assert cl.sew(x, bad).tube_masks not in {t.tube_masks for t in p.objects}
+    assert bad.word not in {w.word for w in cl.fiber_words(x)}
     monkeypatch.setattr(cl, "shuffle_meet", lambda x, w1, w2:
                         cl.ShuffleWord(x, w1.word[::-1]))
     assert cli.verify_quotient(4) == (False, [], {
-        "sewn_off_the_poset": [x.key(), bad.serialize()]})
+        "bound_off_the_fiber": [x.key(), bad.serialize()]})
+
+
+@pytest.mark.parametrize("fn, wrong", [
+    ("fiber_words", lambda real: lambda x: real(x)[:-1]),
+    ("fiber_size", lambda real: lambda x: real(x) + 1)],
+    ids=["last_word_dropped", "size_off_by_one"])
+def test_verify_quotient_fails_when_the_fiber_words_differ(monkeypatch, fn,
+                                                           wrong):
+    # the fibers are walked from the bottom's, so its cut is the base named
+    p = cli._poset("cycle", 4)
+    monkeypatch.setattr(cl, fn, wrong(getattr(cl, fn)))
+    assert cli.verify_quotient(4) == (False, [], {
+        "fiber_words_mismatch": cl.cut(p.objects[0]).key()})
+
+
+def _sew_ignoring_the_word(real):
+    return lambda x, w: real(x, cl.fiber_words(x)[0])
+
+
+def _path_tubing_wrong_at_r1(real):
+    # r[1] = 1 becomes r[1] = 0: still a bracket vector, another tubing
+    return lambda graph, r: real(graph, [0, 0, *r[2:]] if r[1] == 1 else r)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("fn, wrong", [
+    ("sew", _sew_ignoring_the_word),
+    ("_path_tubing", _path_tubing_wrong_at_r1)],
+    ids=["sew_ignores_the_word", "path_tubing_wrong"])
+def test_lattice_and_quotient_fail_on_a_wrong_decode(monkeypatch, n, fn,
+                                                     wrong):
+    # join_cycle decodes its join as sew(_path_tubing(r), word); a decode
+    # that loses the word or the base names an element that is not the
+    # decode of its own encoding, so its join with itself is wrong too
+    p = cli._poset("cycle", n)
+    monkeypatch.setattr(cl, fn, wrong(getattr(cl, fn)))
+    ok, lines, witness = cli.verify_lattice(n)
+    assert (ok, lines) == (False, []) and list(witness) == ["not_decoded"]
+    assert cli.verify_quotient(n) == (False, [], witness)
+    t = p.objects[p.keys.index(witness["not_decoded"])]
+    assert cl.join_cycle(t, t) != t
+
+
+def test_verify_cu_fails_when_a_relation_is_not_transitive(monkeypatch):
+    # chain 1 keeps 3 onto 2 onto 1 but loses 3 onto 1
+    fs = la.forcing_system(4)
+    a, b, c = (la.JiIndex(1, k) for k in (3, 2, 1))
+    onto = fs.arrows_onto - {(a, c)}
+    assert {(a, b), (b, c)} <= onto
+    monkeypatch.setattr(la, "forcing_system", lambda n: dataclasses.replace(
+        fs, arrows_onto=onto))
+    assert cli.verify_cu(4) == (False, [], {"not_transitive": (a, b, c)})
+
+
+def test_verify_cu_fails_on_an_onto_into_two_cycle(monkeypatch):
+    fs = la.forcing_system(4)
+    a, b = la.JiIndex(1, 2), la.JiIndex(1, 1)
+    monkeypatch.setattr(la, "forcing_system", lambda n: dataclasses.replace(
+        fs, arrows_onto=frozenset({(a, b)}), arrows_into=frozenset({(b, a)})))
+    assert cli.verify_cu(4) == (False, [], {"onto_into_two_cycle": (a, b)})
+
+
+def test_verify_cu_fails_when_forcing_differs_from_its_definition(
+        monkeypatch):
+    fs = la.forcing_system(4)
+    lost = min(fs.arrows_force)
+    monkeypatch.setattr(la, "forcing_system", lambda n: dataclasses.replace(
+        fs, arrows_force=fs.arrows_force - {lost}))
+    assert cli.verify_cu(4) == (False, [], {
+        "forcing_closed_form_differs": lost})
+
+
+@pytest.mark.parametrize("acyclic", [False, True],
+                         ids=["forcing_cycle", "non_increasing_edge"])
+def test_verify_cu_fails_on_a_reversed_forcing_arrow(monkeypatch, acyclic):
+    # one forcing arrow gains its reverse, which the definition is made to
+    # agree with: a cycle, or, with the acyclicity test made to pass, the
+    # one arrow that does not increase
+    fs = la.forcing_system(4)
+    a, b = min(fs.arrows_force)
+    force = fs.arrows_force | {(b, a)}
+    monkeypatch.setattr(la, "forcing_system", lambda n: dataclasses.replace(
+        fs, arrows_force=force))
+    monkeypatch.setattr(la, "_forces_from_definition",
+                        lambda universe, onto, into: set(force))
+    if acyclic:
+        monkeypatch.setattr(la, "relation_acyclic", lambda universe, arrows:
+                            True)
+    assert cli.verify_cu(4) == (False, [], {"non_increasing_edge": [
+        [b.i, b.k], [a.i, a.k]]} if acyclic else {"forcing_cycle": True,
+                                                  "n": 4})
 
 
 def test_verify_quotient_names_an_element_whose_cut_is_not_reversed(

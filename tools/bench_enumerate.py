@@ -28,8 +28,7 @@ resident set (VmHWM, which starts afresh at exec), a verify case before
 its warm call. The two trees alternate
 which runs first on each repeat. The JSON written holds, per case, the
 median wall time, warm time and peak RSS of each tree over the repeats,
-every raw wall time, and the command line. The cases in CHANGE_ONLY run
-on the change tree alone; their parent and wall_ratio are null.
+every raw wall time, and the command line.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ VERIFY_CASES = [("verify_lattice", "cycle", 5), ("verify_lattice", "cycle", 6),
                 ("verify_regular", "cycle", 9),
                 ("verify_ji", "cycle", 7), ("verify_pairs", "cycle", 5),
                 ("verify_pairs", "cycle", 7), ("verify_all", "cycle", 9)]
-# cases timed on the new tree only: the lattice suite's pair loop before
-# its certificates would compare 82.8M pairs at n = 9, and pairs_lattice
-# refused more than 25 generators, 36 at n = 7, before the verify cap alone
-CHANGE_ONLY = {("verify_lattice", "cycle", 9), ("verify_pairs", "cycle", 7)}
 OPS_CASES = [(op, "cycle", n) for n in range(5, 10)
              for op in ("join_cycle", "meet_cycle", "leq_cycle", "cut", "lift",
                         "gtree_of")]
@@ -178,8 +173,6 @@ def main(argv=None) -> int:
         order = list(sides) if r % 2 == 0 else list(reversed(sides))
         for case in cases:
             for side in order:
-                if side == "parent" and case in CHANGE_ONLY:
-                    continue
                 got = measure(sides[side], *case)
                 samples[case][side].append(got)
                 print(r, side, *case, got, file=sys.stderr, flush=True)
@@ -188,9 +181,6 @@ def main(argv=None) -> int:
         row = {"op": op, "graph": kind, "n": n,
                "elements": by_side["change"][0]["size"]}
         for side, runs in by_side.items():
-            if not runs:
-                row[side] = None
-                continue
             if {s["size"] for s in runs} != {row["elements"]}:
                 raise SystemExit(f"{op} {kind} {n}: sizes differ between runs")
             # microseconds resolve the ops suite's millisecond loops
@@ -200,8 +190,8 @@ def main(argv=None) -> int:
             row[side] = {metric: round(statistics.median(s[metric] for s in runs), 6)
                          for metric in metrics}
             row[side]["wall_s_runs"] = [round(s["wall_s"], 6) for s in runs]
-        row["wall_ratio"] = row["parent"] and round(
-            row["parent"]["wall_s"] / row["change"]["wall_s"], 2)
+        row["wall_ratio"] = round(row["parent"]["wall_s"]
+                                  / row["change"]["wall_s"], 2)
         rows.append(row)
     report = {"command": " ".join(["python3", "tools/bench_enumerate.py"]
                                   + (argv if argv is not None else sys.argv[1:])),
