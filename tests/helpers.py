@@ -9,7 +9,8 @@ verify suites prove their statements from rows and covers; the loops over
 all pairs that they replaced stay here as their oracles. So do the join
 pass over all pairs that the lattice suite replaced by its certificates
 through the cut congruence, with the lift tables it read, and the meet
-pass it replaced by its reversal certificate.
+pass it replaced by its reversal certificate, and the pair scan that
+built the forcing relations before they were read off their closed forms.
 """
 
 import itertools
@@ -116,6 +117,34 @@ def connected_graphs(n: int):
                 yield tl.custom_graph(n, edges)
             except ValueError:  # disconnected
                 pass
+
+
+def reference_forcing_system(n):
+    """la.forcing_system by a scan of every pair of grid points: onto on one
+    chain, into on equal c_perm with (i+k, k) rising, and to through every
+    onto middle and every into end."""
+    universe = [la.JiIndex(i, k) for i in range(1, n) for k in range(1, n)]
+    onto = set()
+    into = set()
+    for x in universe:
+        for y in universe:
+            if x == y:
+                continue
+            if x.i == y.i and y.k < x.k:
+                onto.add((x, y))
+            if (la.c_perm(n, *x) == la.c_perm(n, *y)
+                    and (x.i + x.k, x.k) < (y.i + y.k, y.k)):
+                into.add((x, y))
+    to = set()
+    for x in universe:
+        mids = [x] + [y for y in universe if (x, y) in onto]
+        for y in mids:
+            for z in universe:
+                if z != x and (y == z or (y, z) in into):
+                    to.add((x, z))
+    forces = into | {(y, x) for (x, y) in onto}
+    return la.ForcingSystem(n, frozenset(onto), frozenset(into),
+                            frozenset(to), frozenset(forces))
 
 
 def orthogonal_pair(fs, members):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -11,7 +12,8 @@ from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat import lattice_analysis as la
 from helpers import (diamond, graph, oracle_mobius, orthogonal_pair, poset,
-                     poset_from_leq, reference_orthogonal_closure, tubings)
+                     poset_from_leq, reference_forcing_system,
+                     reference_orthogonal_closure, tubings)
 
 
 def ji_tubing(n, i, k):
@@ -425,6 +427,20 @@ def test_huge_vertex_counts_are_refused_before_allocating(build):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("build, n, i, k, message", [
+    (build, n, i, k, f"indices must lie in 1..{n - 1}")
+    for build in (la.canonical_ji, la.canonical_mi, la.kappa, la.c_perm)
+    for n, i, k in ((3, 0, 1), (3, 1, 3), (4, 4, 2), (4, 2, -1),
+                    (63, 63, 1), (63, 1, 0))
+] + [(build, 64, 1, 1, "vertex count must be in 1..63, got 64")
+     for build in (la.canonical_ji, la.canonical_mi, la.kappa)],
+    ids=lambda v: v.__name__ if callable(v) else None)
+def test_grid_points_off_the_grid_are_refused(build, n, i, k, message):
+    with pytest.raises(ValueError) as exc:
+        build(n, i, k)
+    assert str(exc.value) == message
+
+
 def test_canonical_ji_inversion_closed_form():
     for n in range(3, 9):
         for i in range(1, n):
@@ -598,6 +614,11 @@ def test_c_perm_example():
     assert [la.c_perm(5, 2, k) for k in (1, 2, 3, 4)] == [3, 2, 1, 4]
 
 
+def test_forcing_system_matches_the_pair_scan():
+    for n in range(3, 13):
+        assert la.forcing_system(n) == reference_forcing_system(n)
+
+
 def test_forcing_system_three_vertices():
     fs = la.forcing_system(3)
     pairs = lambda rel: {((a.i, a.k), (b.i, b.k)) for a, b in rel}
@@ -637,11 +658,10 @@ def test_forcing_two_acyclicity_and_partial_orders():
         fs = la.forcing_system(n)
         for rel in (fs.arrows_onto, fs.arrows_into):
             assert all(a != b for a, b in rel)
-            assert la.relation_acyclic(fs.universe, rel)
             after = {}
             for a, b in rel:
                 after.setdefault(a, set()).add(b)
-            for a, b in rel:  # transitive
+            for a, b in rel:  # transitive, so irreflexive means acyclic
                 assert after.get(b, set()) <= after[a]
         for a, b in fs.arrows_onto:
             assert (b, a) not in fs.arrows_into
@@ -658,12 +678,15 @@ def test_congruence_uniformity():
             assert (a.i + a.k, a.k) < (b.i + b.k, b.k)
 
 
-def test_cycle_detector_sanity():
-    u = (la.JiIndex(1, 1), la.JiIndex(1, 2), la.JiIndex(2, 1))
-    assert la.relation_acyclic(u, {(u[0], u[1]), (u[1], u[2])})
-    assert not la.relation_acyclic(u, {(u[0], u[1]), (u[1], u[2]),
-                                       (u[2], u[0])})
-    assert not la.relation_acyclic(u, {(u[0], u[0])})
+def test_congruence_uniformity_fails_on_a_reversed_forcing_arrow(
+        monkeypatch):
+    # one forcing arrow gains its reverse: a two-cycle, and the reverse
+    # lowers the key
+    fs = la.forcing_system(4)
+    a, b = min(fs.arrows_force)
+    monkeypatch.setattr(la, "forcing_system", lambda n: dataclasses.replace(
+        fs, arrows_force=fs.arrows_force | {(b, a)}))
+    assert not la.check_congruence_uniform(4)
 
 
 # --- maximal orthogonal pairs -------------------------------------------------------

@@ -21,7 +21,8 @@ Tubing objects built afresh, so no per-tubing cache is warm, and lift's
 targets are the untimed path joins of the two cuts. The verify suite
 times `tubelat verify --selector S --n N --force` whole through cli.main,
 poset build included, for the suites that read the cached poset or the
-flip kernel, and `--selector all` at n = 9; it then times the same call
+flip kernel, `cu` at n = 12, which reads the forcing relations alone, and
+`--selector all` at n = 9; it then times the same call
 again in the same process as warm_s, the posets cached, which leaves the
 suite's own work. Every measurement reads the interpreter's own peak
 resident set (VmHWM, which starts afresh at exec), a verify case before
@@ -70,7 +71,8 @@ VERIFY_CASES = [("verify_lattice", "cycle", 5), ("verify_lattice", "cycle", 6),
                 ("verify_regular", "cycle", 8),
                 ("verify_regular", "cycle", 9),
                 ("verify_ji", "cycle", 7), ("verify_pairs", "cycle", 5),
-                ("verify_pairs", "cycle", 7), ("verify_all", "cycle", 9)]
+                ("verify_pairs", "cycle", 7), ("verify_cu", "cycle", 12),
+                ("verify_all", "cycle", 9)]
 OPS_CASES = [(op, "cycle", n) for n in range(5, 10)
              for op in ("join_cycle", "meet_cycle", "leq_cycle", "cut", "lift",
                         "gtree_of")]
