@@ -337,8 +337,7 @@ def verify_cu(n: int):
     fs = la.forcing_system(n)
     onto, into = fs.arrows_onto, fs.arrows_into
     for rel in (onto, into):
-        bad = next(((a, b, d) for a, b in rel for c, d in rel
-                    if b == c and a != d and (a, d) not in rel), None)
+        bad = _transitivity_witness(rel)
         if bad is not None:
             return False, [], {"not_transitive": bad}
     bad = next(((a, b) for a, b in onto if (b, a) in into), None)
@@ -353,6 +352,18 @@ def verify_cu(n: int):
             return False, [], {"non_increasing_edge": [[a.i, a.k], [b.i, b.k]]}
     return True, [f"cu: direct forcing is acyclic and lexicographically "
                   f"increasing ({len(fs.arrows_force)} arrows, n={n})"], None
+
+
+def _transitivity_witness(rel):
+    """The first (a, b, d) with (a, b) and (b, d) in rel, a != d and (a, d)
+    not in rel, or None. The successors of each b are listed in rel's own
+    iteration order, so the witness is the one a scan of all pairs of
+    arrows would find first."""
+    after = {}
+    for b, d in rel:
+        after.setdefault(b, []).append(d)
+    return next(((a, b, d) for a, b in rel for d in after.get(b, ())
+                 if a != d and (a, d) not in rel), None)
 
 
 def verify_mobius(n: int):

@@ -300,36 +300,53 @@ def flip(graph: Graph, t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple
 def _flips(t: Tubing) -> list[tuple[int, int, int, int]]:
     """(x, replacement, top(x), top(Y)) for every tube x of t but the full one.
 
-    One pass over the sorted masks finds each tube's parent Y, the first
-    later tube containing it, and so the children and top of every tube.
-    The children of a tube are pairwise non-adjacent and each touches the
-    tube's top, so the component of Y minus top(x) holding top(Y) is Y
-    minus x plus the children of x adjacent to top(Y). top(Y) lies in no
-    tube below Y, so it is also the top of the replacement.
+    A flip rotates one edge of t's G-tree, from a non-root v up to its
+    parent u = P[v], where x = D[v] and Y = D[u] are their tubes. The
+    children of a tube are pairwise non-adjacent and each touches the
+    tube's top, so the component of Y minus v holding u, the replacement,
+    is Y minus x plus the tube D[w] of each child w of v that meets adj[u].
+    The rotated tree has P'[v] = P[u], P'[u] = v and P'[w] = u for each
+    child w moved, so u is the top of the replacement and v of Y.
+
+    One pass over the sorted masks reads the table: each tube adds one
+    vertex u, its top, and the roots so far that it holds are u's
+    children. Each child's rotation is read as its parent is found, so the
+    flips come in the order of the parents' tubes, in O(n) beyond the
+    rotations themselves.
     """
-    masks = t.tube_masks
-    last = len(masks) - 1  # masks[last] is the full tube
-    parent = []
-    below = [0] * (last + 1)
-    for i in range(last):
-        x = masks[i]
-        j = i + 1
-        while masks[j] & x != x:
-            j += 1
-        parent.append(j)
-        below[j] |= x
-    tops = [(m & ~b).bit_length() for m, b in zip(masks, below)]
-    adj = t.graph.adj
-    reps = [masks[j] & ~x for j, x in zip(parent, masks)]
-    for c, i in zip(masks, parent):  # c is a child of masks[i]
-        if i != last and c & adj[tops[parent[i]]]:
-            reps[i] |= c
-    return [(masks[i], reps[i], tops[i], tops[parent[i]]) for i in range(last)]
+    adj, n = t.graph.adj, t.graph.n
+    down = [0] * (n + 1)  # D[v]
+    kids = [()] * (n + 1)  # the tubes D[w] of v's children w
+    out = []
+    seen = roots = 0
+    for m in t.tube_masks:
+        top = m & ~seen
+        u = top.bit_length()
+        down[u] = m
+        held = roots & m
+        if held:
+            a, mine = adj[u], []
+            while held:
+                low = held & -held
+                v = low.bit_length()
+                x = down[v]
+                rep = m ^ x
+                for w in kids[v]:
+                    if w & a:
+                        rep |= w
+                out.append((x, rep, v, u))
+                mine.append(x)
+                held ^= low
+            kids[u] = mine
+        roots = roots & ~m | top
+        seen |= m
+    return out
 
 
 def _swap(t: Tubing, x: int, replacement: int) -> Tubing:
     """t with the tube x replaced, kept in canonical order."""
-    masks = [m for m in t.tube_masks if m != x]
+    masks = list(t.tube_masks)
+    masks.remove(x)
     bisect.insort(masks, replacement, key=_tube_sort_key)
     return Tubing(t.graph, tuple(masks))
 
@@ -376,8 +393,8 @@ def enumerate_maximal_tubings(graph: Graph) -> tuple[Tubing, ...]:
 
     Layers expand from the seed tubing; within a layer, tubings are sorted
     by their canonical serialized form, so the output order is deterministic.
-    Path n = 12 (208,012 tubings) and cycle n = 11 (184,756) take seconds
-    and under 100 MB.
+    Path n = 12 (208,012 tubings) and cycle n = 11 (184,756) take 4 to 5 s
+    each, at peak resident sets of 95 and 69 MB (BENCH_enumerate.json).
     """
     return _flip_graph(graph)[0]
 
@@ -389,45 +406,50 @@ def _flip_graph(graph: Graph, covers: bool = False,
 
     Each tube gets a bit the first time it is seen and a tubing's code is
     the OR of its tubes' bits, so a flip's code is one XOR away and only a
-    new code builds a Tubing. A flip moves at most one layer, so the codes
-    of three layers suffice for deduplication. Each tubing costs one
-    O(n^2) pass of _flips. With covers, each tubing keeps the codes of its
-    up-flips, top(x) < top(Y), and one dict from code to output index makes
+    new code builds a Tubing. A flip moves at most one layer, so one set
+    holding the codes of the layers before, at and after the current one
+    deduplicates with one lookup per flip, and the codes of the layer
+    before leave it as the pass advances. Each tubing costs one O(n) pass
+    of _flips, and a tube is one int object, shared by every tubing that
+    holds it. With covers, each tubing keeps the codes of its up-flips,
+    top(x) < top(Y), and one dict from code to output index makes
     covers_up[i] the tubings covering tubing i; without, covers_up is None.
     A layer that would take the count past max_elements raises ValueError.
     """
     seed = minimum_tubing(graph)
     bit = {m: 1 << i for i, m in enumerate(seed.tube_masks)}
+    tube = {m: m for m in bit}  # one int object per tube, shared by tubings
     out: list[Tubing] = []
     at: dict[int, int] = {}  # code -> output index, kept with covers only
     ups: list[list[int]] = []
-    older: set[int] = set()
-    codes = {sum(bit.values())}
-    layer = [seed]
+    before: list[int] = []  # the codes of the layer before
+    layer, codes = [seed], [sum(bit.values())]
+    window = set(codes)
     while layer:
         if max_elements is not None and len(out) + len(layer) > max_elements:
             raise ValueError(f"more than {max_elements} tubings, over the cap")
         layer.sort(key=Tubing.key)
         out.extend(layer)
-        nxt = []
-        new_codes: set[int] = set()
+        nxt, nxt_codes = [], []
         for t in layer:
-            code = sum([bit[m] for m in t.tube_masks])  # the bits are distinct
+            code = sum(map(bit.__getitem__, t.tube_masks))  # distinct bits
             flips = _flips(t)
             for x, rep, _, _ in flips:
                 rep_bit = bit.get(rep)
                 if rep_bit is None:
                     rep_bit = bit[rep] = 1 << len(bit)
+                    tube[rep] = rep
                 c = code ^ bit[x] ^ rep_bit
-                if c in new_codes or c in codes or c in older:
-                    continue
-                new_codes.add(c)
-                nxt.append(_swap(t, x, rep))
+                if c not in window:
+                    window.add(c)
+                    nxt_codes.append(c)
+                    nxt.append(_swap(t, x, tube[rep]))
             if covers:
                 at[code] = len(at)
                 ups.append([code ^ bit[x] ^ bit[rep]
                             for x, rep, top_x, top_y in flips if top_x < top_y])
-        older, codes, layer = codes, new_codes, nxt
+        window.difference_update(before)
+        before, codes, layer = codes, nxt_codes, nxt
     return tuple(out), [[at[c] for c in u] for u in ups] if covers else None
 
 

@@ -10,7 +10,10 @@ all pairs that they replaced stay here as their oracles. So do the join
 pass over all pairs that the lattice suite replaced by its certificates
 through the cut congruence, with the lift tables it read, and the meet
 pass it replaced by its reversal certificate, and the pair scan that
-built the forcing relations before they were read off their closed forms.
+built the forcing relations before they were read off their closed forms,
+and the scan of all pairs of arrows that checked their transitivity. The
+flip pass that scanned each tube's parent among the sorted masks and kept
+three sets of codes is the reference for the rotation kernel.
 """
 
 import itertools
@@ -117,6 +120,71 @@ def connected_graphs(n: int):
                 yield tl.custom_graph(n, edges)
             except ValueError:  # disconnected
                 pass
+
+
+def reference_flips(t):
+    """gc._flips by the parent scan it replaced: each tube's parent Y is the
+    first later tube of the size-sorted masks holding it, its top what its
+    children leave uncovered, and its replacement Y minus x plus the
+    children of x that touch top(Y); in the order of the tubes x."""
+    masks = t.tube_masks
+    last = len(masks) - 1  # masks[last] is the full tube
+    parent = []
+    below = [0] * (last + 1)
+    for i in range(last):
+        x = masks[i]
+        j = i + 1
+        while masks[j] & x != x:
+            j += 1
+        parent.append(j)
+        below[j] |= x
+    tops = [(m & ~b).bit_length() for m, b in zip(masks, below)]
+    adj = t.graph.adj
+    reps = [masks[j] & ~x for j, x in zip(parent, masks)]
+    for c, i in zip(masks, parent):  # c is a child of masks[i]
+        if i != last and c & adj[tops[parent[i]]]:
+            reps[i] |= c
+    return [(masks[i], reps[i], tops[i], tops[parent[i]]) for i in range(last)]
+
+
+def reference_flip_graph(g, covers=False, max_elements=None):
+    """gc._flip_graph as it was before the rotation kernel: reference_flips
+    for every tubing, its code summed afresh, and three sets of codes, one
+    per layer, for deduplication."""
+    seed = tl.minimum_tubing(g)
+    bit = {m: 1 << i for i, m in enumerate(seed.tube_masks)}
+    out, at, ups = [], {}, []
+    older, codes = set(), {sum(bit.values())}
+    layer = [seed]
+    while layer:
+        if max_elements is not None and len(out) + len(layer) > max_elements:
+            raise ValueError(f"more than {max_elements} tubings, over the cap")
+        layer.sort(key=tl.Tubing.key)
+        out.extend(layer)
+        nxt, new_codes = [], set()
+        for t in layer:
+            code = sum([bit[m] for m in t.tube_masks])
+            flips = reference_flips(t)
+            for x, rep, _, _ in flips:
+                rep_bit = bit.setdefault(rep, 1 << len(bit))
+                c = code ^ bit[x] ^ rep_bit
+                if c in new_codes or c in codes or c in older:
+                    continue
+                new_codes.add(c)
+                nxt.append(gc._swap(t, x, rep))
+            if covers:
+                at[code] = len(at)
+                ups.append([code ^ bit[x] ^ bit[rep]
+                            for x, rep, top_x, top_y in flips if top_x < top_y])
+        older, codes, layer = codes, new_codes, nxt
+    return tuple(out), [[at[c] for c in u] for u in ups] if covers else None
+
+
+def reference_transitivity_witness(rel):
+    """cli._transitivity_witness by the scan of every pair of arrows that it
+    replaced."""
+    return next(((a, b, d) for a, b in rel for c, d in rel
+                 if b == c and a != d and (a, d) not in rel), None)
 
 
 def reference_forcing_system(n):

@@ -18,8 +18,8 @@ from tubelat import lattice_analysis as la
 from helpers import (diamond, fiber_pairs, graph, lattice_join_failure,
                      lattice_meet_failure, load_fixture,
                      order_pair_failure, pairs_order_failure,
-                     quotient_pair_failure, search_tree_tubing,
-                     selfdual_pair_failure)
+                     quotient_pair_failure, reference_transitivity_witness,
+                     search_tree_tubing, selfdual_pair_failure)
 
 
 def run(capsys, *argv):
@@ -931,6 +931,22 @@ def test_verify_cu_fails_when_a_relation_is_not_transitive(monkeypatch):
     monkeypatch.setattr(la, "forcing_system", lambda n: dataclasses.replace(
         fs, arrows_onto=onto))
     assert cli.verify_cu(4) == (False, [], {"not_transitive": (a, b, c)})
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_transitivity_witness_matches_the_pair_scan(n):
+    # each relation loses, in turn, every arrow that two others imply
+    fs = la.forcing_system(n)
+    for rel in (fs.arrows_onto, fs.arrows_into):
+        assert cli._transitivity_witness(rel) is None
+        assert reference_transitivity_witness(rel) is None
+        implied = {(a, d) for a, b in rel for c, d in rel if b == c}
+        assert implied
+        for arrow in implied:
+            broken = rel - {arrow}
+            got = cli._transitivity_witness(broken)
+            assert got is not None
+            assert got == reference_transitivity_witness(broken)
 
 
 def test_verify_cu_fails_on_an_onto_into_two_cycle(monkeypatch):

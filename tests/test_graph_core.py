@@ -5,10 +5,12 @@ import pytest
 
 import tubelat as tl
 from tubelat import graph_core as gc
+import helpers
 from helpers import (connected_graphs, graph, load_fixture,
                      oracle_enumeration, oracle_flip_replacements,
                      oracle_is_maximal, reference_build_poset,
-                     reference_down_masks, reference_graphs,
+                     reference_down_masks, reference_flip_graph,
+                     reference_flips, reference_graphs,
                      reference_relabel_reverse,
                      reference_top, tubings)
 
@@ -174,6 +176,47 @@ def test_build_poset_matches_the_two_pass_reference():
     # reference_graphs() holds path 8 and cycle 7
     for g in reference_graphs():
         assert tl.build_poset(g) == reference_build_poset(g)
+
+
+def test_rotations_match_the_parent_scan():
+    # _flips reads each flip as a rotation of the G-tree; the parent scan
+    # over the sorted masks that it replaced lists them in another order
+    for g in reference_graphs():
+        for t in tl.enumerate_maximal_tubings(g):
+            assert sorted(gc._flips(t)) == sorted(reference_flips(t))
+
+
+def counting(fn, calls):
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+    return counted
+
+
+def test_flip_pass_matches_the_reference_on_every_graph_on_five_vertices(
+        monkeypatch):
+    # layer order, covers as sets, and a refusal halfway through the pass
+    # after the flips of the same tubings
+    graphs = list(connected_graphs(5))
+    assert len(graphs) == 728
+    for g in graphs:
+        elems, covers_up = gc._flip_graph(g, covers=True)
+        want, want_up = reference_flip_graph(g, covers=True)
+        assert elems == want
+        assert list(map(set, covers_up)) == list(map(set, want_up))
+        assert gc._flip_graph(g) == (elems, None)
+        cap = len(elems) // 2
+        refused = []
+        for module, name, run in ((gc, "_flips", gc._flip_graph),
+                                  (helpers, "reference_flips",
+                                   reference_flip_graph)):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(module, name, counting(getattr(module, name), calls))
+                with pytest.raises(ValueError, match=f"more than {cap} "):
+                    run(g, max_elements=cap)
+            refused.append(calls)
+        assert refused[0] == refused[1]
 
 
 def test_covers():

@@ -11,7 +11,10 @@
 
 Each measurement runs in a fresh interpreter with PYTHONPATH set to one
 tree. The enumerate suite times one call of enumerate_maximal_tubings or
-build_poset. The oracle suite times lattice_failure, join_table plus
+build_poset, and its catalog cases time enumerate_maximal_tubings plus
+tubing_to_json on path 10 and on cycle 9, the pipeline of perfbench's
+enumerate-catalog workload.
+The oracle suite times lattice_failure, join_table plus
 meet_table, semidistributivity_witness or mobius alone, each after an
 untimed build_poset, and `tubelat verify --selector sdl --force` whole,
 poset build included. The ops suite times OPS_PAIRS calls of join_cycle,
@@ -50,7 +53,8 @@ ENUMERATE_CASES = [("enumerate_maximal_tubings", "path", 10),
                    ("enumerate_maximal_tubings", "complete", 8),
                    ("build_poset", "cycle", 7),
                    ("build_poset", "cycle", 8),
-                   ("build_poset", "cycle", 9)]
+                   ("build_poset", "cycle", 9),
+                   ("catalog", "path", 10), ("catalog", "cycle", 9)]
 ORACLE_CASES = [(op, "cycle", n) for n in (7, 8)
                 for op in ("lattice_failure", "join_table+meet_table",
                            "semidistributivity_witness", "mobius")]
@@ -134,6 +138,12 @@ elif op.startswith("verify_"):
     warm = verify()
     # the cycle's tubing count: an untimed poset build would raise VmHWM
     size = math.comb(2 * n - 2, n - 1)
+elif op == "catalog":
+    start = time.perf_counter()
+    elems = graph_core.enumerate_maximal_tubings(graph)
+    text = "".join(graph_core.tubing_to_json(t) + "\n" for t in elems)
+    wall = time.perf_counter() - start
+    size = len(elems)
 elif op in ORACLE:
     p = la.build_poset(graph)
     start = time.perf_counter()
