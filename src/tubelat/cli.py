@@ -87,18 +87,27 @@ def _quotient(n: int):
     bad = (a for a, (x, r, _, w) in enumerate(es) if x != xs[r]
            or cl.sew(x, cl.ShuffleWord(x, tuple(w))) != p.objects[a])
     return es, fibers, low, (
-        _congruence_failure(p, _poset(gc.PATH, n), fibers, low)
+        _congruence_failure(p, n, fibers, low)
         or next(({"not_decoded": p.keys[a]} for a in bad), None))
 
 
-def _congruence_failure(p, q, fibers, low):
+@lru_cache(maxsize=None)
+def _brackets(n: int):
+    """(R, index) on the path poset at n: R[x] is the bracket vector of
+    element x as bytes, and index maps each vector to its element."""
+    R = [bytes(cl._right_sizes(x)) for x in _poset(gc.PATH, n).objects]
+    return R, {r: x for x, r in enumerate(R)}
+
+
+def _congruence_failure(p, n: int, fibers, low):
     """None when cut, of the given fibers and least elements, is a lattice
-    quotient map from p onto q: its fibers are intervals [low, high] with
-    x -> low and x -> high order-preserving (a congruence, by Chajda and
-    Snasel), and it maps them one to one onto q, order-preserving with an
-    order-preserving inverse x -> low. Maps are checked on covers."""
+    quotient map from p onto the path poset q at n: its fibers are
+    intervals [low, high] with x -> low and x -> high order-preserving (a
+    congruence, by Chajda and Snasel), and it maps them one to one onto q,
+    order-preserving with an order-preserving inverse x -> low. Maps are
+    checked on covers."""
+    q, index = _poset(gc.PATH, n), _brackets(n)[1]
     up, down, keys = p.up, p.down, p.keys
-    index = {bytes(cl._right_sizes(x)): i for i, x in enumerate(q.objects)}
     lo, hi, at = [0] * len(p), [0] * len(p), [0] * len(p)
     for r, F in fibers.items():
         bot, top = low[r], max(F, key=lambda a: down[a].bit_count())
@@ -154,9 +163,9 @@ def verify_order(n: int):
             return False, [], {"pair": [p.keys[a], p.keys[b]],
                                "closure": p.leq(a, b),
                                "inversion_test": not m >> b & 1}
-    # tree encodings round-trip and tree moves realize exactly the covers;
-    # a rebuilt tubing is checked by equality with one the program trusts,
-    # a moved tree by its parent table against the flip's down masks
+    # tree encodings round-trip, and tree moves realize exactly the covers:
+    # a rebuilt tubing is checked by equality with one the program trusts
+    at = {}  # each tree's parent table, as bytes, to its element
     for a, t in enumerate(elems):
         g = gt.gtree_of(graph, t)
         if not gt.validate(g, gt.CYCLE_CBT):
@@ -171,44 +180,38 @@ def verify_order(n: int):
                    >> gt._pair_index(min(v, u), max(v, u)) & 1
                    for v, u in enumerate(g.parent) if u):
             return False, [], {"bad_pair_statistics_for": p.keys[a]}
-        # flipping v's tube (v is no root) inside the tube Y of u makes Y
-        # the tube of v and the replacement the tube of u; no other moves
-        for v, u, rep in sorted((v, u, rep) for _, rep, v, u in gc._flips(t)):
-            down = list(t.down_masks)
-            down[v], down[u] = down[u], rep
-            if not _encodes(gt.tree_move(g, v, gt.CYCLE_CBT), tuple(down)):
-                return False, [], {"tree_move_mismatch": [p.keys[a], v]}
+        at[bytes(g.parent)] = a
+    # the trees round-trip, so their tables name the elements; the n - 1
+    # moves of a's tree must land one each on a's upper and lower covers,
+    # with none left over
+    for table, a in at.items():
+        root = table.index(0, 1)  # the vertex whose parent is 0
+        g = gt.GTree(n, root, tuple(table))
+        left = set(p.covers_up[a]).union(p.covers_down[a])
+        for v in range(1, n + 1):
+            if v != root:
+                b = at.get(bytes(gt.tree_move(g, v, gt.CYCLE_CBT).parent))
+                if b not in left:
+                    return False, [], {"tree_move_mismatch": [p.keys[a], v]}
+                left.remove(b)
+        if left:
+            return False, [], {"cover_not_a_move": [p.keys[a],
+                                                     p.keys[min(left)]]}
     lines = [f"order: inversion test matches flip closure on all "
              f"{len(elems)}^2 ordered pairs (n={n})",
              f"order: tree encodings round-trip and moves match flips (n={n})"]
     return True, lines, None
 
 
-def _encodes(g: gt.GTree, down) -> bool:
-    """True when down is g.down_masks, read off g's parent table in O(n).
-
-    Each down[v] must be bit(v) OR'd with the down of v's children, and
-    down[root] the full mask. By induction from the leaves, every vertex
-    whose parent chain reaches the root then has its principal down-set
-    as down[v], and the root's covers all n vertices, so the table is a
-    tree. down holds distinct masks, as a tubing's do.
-    """
-    acc = [0] + [1 << v for v in range(g.n)]
-    for v, u in enumerate(g.parent):
-        if v and v != g.root:
-            acc[u] |= down[v]
-    return tuple(acc) == down and down[g.root] == (1 << g.n) - 1
-
-
-def _path_join_failure(q, n: int):
+def _path_join_failure(n: int):
     """None when _join_brackets gives the join of every pair of the path
-    lattice q, else a witness. q's order must be componentwise on bracket
-    vectors: up[x] is the AND over v of G[v][r[v]], the elements y with
-    r_y[v] >= r[v]. _join_brackets reads only m = max(x, y), so for each m
-    in the box 0 <= m[v] <= n - v, c = _join_brackets(m, m) must be a
-    bracket vector >= m with no lower cover >= m, the least of the up-set
+    lattice q at n, else a witness. q's order must be componentwise on
+    bracket vectors: up[x] is the AND over v of G[v][r[v]], the elements y
+    with r_y[v] >= r[v]. _join_brackets reads only m = max(x, y), so for
+    each m in the box 0 <= m[v] <= n - v, c = _join_brackets(m, m) must be
+    a bracket vector >= m with no lower cover >= m, the least of the up-set
     above m, which for the max of x and y is x v y."""
-    R = [tuple(cl._right_sizes(x)) for x in q.objects]
+    q, (R, index) = _poset(gc.PATH, n), _brackets(n)
     # the elements whose vector is >= m are the AND of G[v][m[v]] over v
     G = [[sum(1 << y for y, r in enumerate(R) if r[v] >= k)
           for k in range(n - v + 1)] for v in range(n + 1)]
@@ -217,11 +220,10 @@ def _path_join_failure(q, n: int):
         if diff:
             y = (diff & -diff).bit_length() - 1
             return {"path_order_not_componentwise": [q.keys[x], q.keys[y]]}
-    index = {r: i for i, r in enumerate(R)}
     lower = [sum(1 << d for d in ds) for ds in q.covers_down]
     for m in product((0,), *(range(n - v + 1) for v in range(1, n + 1))):
         c, s = cl._join_brackets(m, m), reduce(and_, map(getitem, G, m))
-        i = index.get(tuple(c))
+        i = index.get(bytes(c))
         if i is None or not s >> i & 1 or s & lower[i]:
             least = next((list(R[x]) for x in la._bits(s) if q.up[x] == s),
                          None)
@@ -279,7 +281,7 @@ def verify_lattice(n: int):
     # _join_brackets, _lift and _merge give r, a v low r and that join, and
     # meet_cycle reverses the join of the reversals
     witness = (la.lattice_failure(p) or _reversal(n)[1] or quotient
-               or _path_join_failure(_poset(gc.PATH, n), n)
+               or _path_join_failure(n)
                or _lift_failure(p, es, low)
                or _fiber_join_failure(p, es, fibers))
     if witness is not None:

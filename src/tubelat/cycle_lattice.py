@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .graph_core import (CYCLE, PATH, Graph, Tubing, make_graph,
                          relabel_reverse)
-from .gtree import _zipper_chains, inversion_masks
+from .gtree import _zipper_chains, gtree_of, inversion_masks
 
 
 def _require(t: Tubing, kind: str):
@@ -240,26 +240,12 @@ def _rotate_up(parent: list[int], r: list[int], word: list[int], u: int):
         word.insert(word.index(v) + 1, u)
 
 
-def _path_parents(x: Tubing) -> list[int]:
-    """The parent table of the tree of a path tubing in O(n), 0 at the root.
-
-    A tube holding a neighbour of v's tube [s, e] contains it, so v's parent
-    is s - 1 or e + 1, whichever has the smaller (nested) tube mask.
-    """
-    down, n = x.down_masks, x.n
-    parent = [0] * (n + 1)
-    for v in range(1, n + 1):
-        d = down[v]
-        a, b = (d & -d).bit_length() - 1, d.bit_length() + 1  # s - 1, e + 1
-        parent[v] = a if b > n or (a and down[a] < down[b]) else b
-    return parent
-
-
 def _encode(j: Tubing) -> tuple:
-    """cut(j), its bracket vector and parent table, and j's word over it; the
-    vectors are bytes (no entry exceeds n <= 63), a third of a tuple's size."""
+    """cut(j), its bracket vector and the parent table of its tree (gtree_of),
+    and j's word over it; the vectors are bytes (no entry exceeds n <= 63),
+    a third of a tuple's size."""
     x = cut(j)
-    return (x, bytes(_right_sizes(x)), bytes(_path_parents(x)),
+    return (x, bytes(_right_sizes(x)), bytes(gtree_of(x.graph, x).parent),
             bytes(_word_over(j, x).word))
 
 

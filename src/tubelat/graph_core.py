@@ -308,11 +308,14 @@ def _flips(t: Tubing) -> list[tuple[int, int, int, int]]:
     The rotated tree has P'[v] = P[u], P'[u] = v and P'[w] = u for each
     child w moved, so u is the top of the replacement and v of Y.
 
-    One pass over the sorted masks reads the table: each tube adds one
-    vertex u, its top, and the roots so far that it holds are u's
-    children. Each child's rotation is read as its parent is found, so the
-    flips come in the order of the parents' tubes, in O(n) beyond the
-    rotations themselves.
+    One pass over the sorted masks reads the table, the pass of
+    gtree.gtree_of: each tube adds one vertex u, its top, and the roots so
+    far that it holds are u's children. Each child's rotation is read as
+    its parent is found, so the flips come in the order of the parents'
+    tubes, in O(n) beyond the rotations themselves. This is the hot loop
+    of the enumeration, so the table and the rotations stay in one pass:
+    building the table by gtree_of first read a noisy 6 % slower on the
+    catalog pipeline (path 10 and cycle 9 to JSON, 2 CPUs, Python 3.11).
     """
     adj, n = t.graph.adj, t.graph.n
     down = [0] * (n + 1)  # D[v]

@@ -168,18 +168,24 @@ def pair_statistics(g: GTree) -> PairStats:
 def gtree_of(graph: Graph, t: Tubing) -> GTree:
     """The tree encoding of a maximal tubing: parents follow tube nesting.
 
-    In one pass over the size-sorted tubes, each tube's parent is the first
-    later tube holding it, and down_masks names every tube's top.
+    One pass over the size-sorted tubes, the roots pass of
+    graph_core._flips: each tube adds one vertex u, its top, and the roots
+    held so far that it contains become u's children. The top of the last
+    tube, the full one, is the root. O(n) beyond the bits it reads.
     """
-    masks = t.tube_masks
-    top = {m: v for v, m in enumerate(t.down_masks)}
     parent = [0] * (graph.n + 1)
-    for i, x in enumerate(masks[:-1]):
-        j = i + 1
-        while masks[j] & x != x:
-            j += 1
-        parent[top[x]] = top[masks[j]]
-    return GTree(graph.n, top[masks[-1]], tuple(parent))
+    seen = roots = 0
+    for m in t.tube_masks:
+        top = m & ~seen
+        u = top.bit_length()
+        held = roots & m
+        while held:
+            low = held & -held
+            parent[low.bit_length()] = u
+            held ^= low
+        roots = roots & ~m | top
+        seen |= m
+    return GTree(graph.n, u, tuple(parent))
 
 
 def tubing_of(graph: Graph, g: GTree) -> Tubing:

@@ -450,28 +450,33 @@ def rooted_at_a_leaf(g):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_tree_move_check_agrees_with_the_rebuilt_tubing(n):
-    # cli._encodes reads a moved tree's parent table against the flip's
-    # down masks; the rebuilt tubing compared by equality is its reference,
-    # on every move and on three broken versions of each
+    # verify_order looks each moved tree's parent table up among the trees
+    # of a's neighbours; the flip rebuilt as a tubing is its reference:
+    # every move is the tree of exactly one neighbour, the flip of the
+    # moved vertex's tube, and three broken versions of each move are the
+    # tree of no element
     graph = gc.make_graph("cycle", n)
-    for t in cli._poset("cycle", n).objects:
-        g = gt.gtree_of(graph, t)
+    p = cli._poset("cycle", n)
+    trees = [gt.gtree_of(graph, t) for t in p.objects]
+    at = {g.parent: a for a, g in enumerate(trees)}
+    index = {t: a for a, t in enumerate(p.objects)}
+    assert len(at) == len(index) == len(p)
+    for a, (t, g) in enumerate(zip(p.objects, trees)):
+        neighbours = set(p.covers_up[a]) | set(p.covers_down[a])
         for x, rep, v, _ in gc._flips(t):
-            flip = gc._swap(t, x, rep)
             moved = gt.tree_move(g, v, gt.CYCLE_CBT)
-            for m, want in ((moved, True),
-                            (grandchild_to_grandparent(moved), False),
-                            (two_cycle(moved), False),
-                            (rooted_at_a_leaf(moved), False)):
-                rebuilt = gc.Tubing._make(graph, m.down_masks[1:]) == flip
-                assert cli._encodes(m, flip.down_masks) == rebuilt == want
+            hits = [b for b in neighbours if trees[b].parent == moved.parent]
+            assert hits == [index[gc._swap(t, x, rep)]]
+            for broken in (grandchild_to_grandparent, two_cycle,
+                           rooted_at_a_leaf):
+                assert broken(moved).parent not in at
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_a_flip_moves_two_down_masks(n):
-    # verify_order reads a flip's down masks as t's with two entries
-    # replaced: the tube of v becomes the tube Y of u, the top of the tube
-    # holding v's, and the tube of u the replacement
+    # a flip's down masks are t's with two entries replaced, as _flips
+    # states for the rotated tree: the tube of v becomes the tube Y of u,
+    # the top of the tube holding v's, and the tube of u the replacement
     for t in cli._poset("cycle", n).objects:
         for x, rep, v, u in gc._flips(t):
             down = list(t.down_masks)
@@ -489,6 +494,21 @@ def test_verify_order_fails_on_a_broken_tree_move(monkeypatch, broken):
     root = gt.gtree_of(p.objects[0].graph, p.objects[0]).root
     assert cli.verify_order(4) == (False, [], {
         "tree_move_mismatch": [p.keys[0], 1 + (root == 1)]})
+
+
+def test_verify_order_fails_when_a_cover_is_no_tree_move(monkeypatch):
+    # the bottom gains an upper cover two flips above it: the rows are the
+    # transitive closure, so they do not change, but no tree move of the
+    # bottom lands on the new cover
+    real = cli._poset("cycle", 4)
+    c = next(c for b in real.covers_up[0] for c in real.covers_up[b]
+             if c not in real.covers_up[0])
+    covers = (real.covers_up[0] + (c,),) + real.covers_up[1:]
+    p = dataclasses.replace(real, covers_up=covers)
+    assert la.FinitePoset.from_covers(p.keys, covers).up == real.up
+    monkeypatch.setattr(cli, "_poset", lambda kind, n: p)
+    assert cli.verify_order(4) == (False, [], {
+        "cover_not_a_move": [p.keys[0], p.keys[c]]})
 
 
 @pytest.mark.parametrize("e1, e2", itertools.combinations(range(6), 2))
@@ -749,7 +769,7 @@ def test_verify_lattice_fails_when_the_path_order_is_not_componentwise(
     q = la.FinitePoset.from_covers(path.keys, covers, path.objects)
     monkeypatch.setattr(cli, "_poset", lambda kind, n: q if kind == "path"
                         else real(kind, n))
-    assert cli._path_join_failure(q, 4) == {
+    assert cli._path_join_failure(4) == {
         "path_order_not_componentwise": [q.keys[x], q.keys[y]]}
 
 

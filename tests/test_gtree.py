@@ -52,7 +52,9 @@ def test_tubing_of_inverts_gtree_of():
 
 
 def test_gtree_of_matches_the_nested_scan():
-    for g in reference_graphs():
+    # with path 9, every path tubing up to n = 9: the cuts whose trees
+    # _encode stores
+    for g in [*reference_graphs(), graph("path", 9)]:
         for t in tl.enumerate_maximal_tubings(g):
             assert tl.gtree_of(g, t) == reference_gtree_of(g, t)
 

@@ -29,10 +29,13 @@ flip kernel, `cu` at n = 12, which reads the forcing relations alone, and
 again in the same process as warm_s, the posets cached, which leaves the
 suite's own work. Every measurement reads the interpreter's own peak
 resident set (VmHWM, which starts afresh at exec), a verify case before
-its warm call. The two trees alternate
-which runs first on each repeat. The JSON written holds, per case, the
-median wall time, warm time and peak RSS of each tree over the repeats,
-every raw wall time, and the command line.
+its warm call, and the process CPU time (time.process_time) over the
+same span as the wall time. The two trees alternate which runs first on
+each repeat. The JSON written holds, per case, the median wall time, warm
+time, CPU time and peak RSS of each tree over the repeats, the quartiles
+of the wall and warm times, every raw wall time, and the command line. On
+a loaded host the CPU time and the quartiles tell a change from noise
+better than a ratio of two medians.
 """
 
 from __future__ import annotations
@@ -116,49 +119,49 @@ if op in OPS:
     fresh = [(graph_core.Tubing(graph, j.tube_masks),
               graph_core.Tubing(graph, k.tube_masks)) for j, k in pairs]
     call = OPS[op]
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     for (j, k), x in zip(fresh, targets):
         call(j, k, x)
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu
     size = len(pairs)
 elif op.startswith("verify_"):
     argv = ["verify", "--selector", op[len("verify_"):], "--n", str(n),
             "--force"]
 
     def verify():
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
             sys.exit(f"verify exited {code}")
-        return time.perf_counter() - start
+        return time.perf_counter() - start, time.process_time() - cpu
 
-    wall = verify()
+    wall, cpu = verify()
     kb = vmhwm()  # before the warm call, which reuses the cached posets
-    warm = verify()
+    warm = verify()[0]
     # the cycle's tubing count: an untimed poset build would raise VmHWM
     size = math.comb(2 * n - 2, n - 1)
 elif op == "catalog":
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     elems = graph_core.enumerate_maximal_tubings(graph)
     text = "".join(graph_core.tubing_to_json(t) + "\n" for t in elems)
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu
     size = len(elems)
 elif op in ORACLE:
     p = la.build_poset(graph)
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     ORACLE[op](p)
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu
     size = len(p)
 else:
     fn = getattr(graph_core, op, None) or getattr(la, op)
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     size = len(fn(graph))
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu
 if not op.startswith("verify_"):
     kb, warm = vmhwm(), None
-print(json.dumps({"wall_s": wall, "warm_s": warm, "peak_rss_mb": kb / 1024,
-                  "size": size}))
+print(json.dumps({"wall_s": wall, "warm_s": warm, "cpu_s": cpu,
+                  "peak_rss_mb": kb / 1024, "size": size}))
 """
 
 
@@ -196,11 +199,16 @@ def main(argv=None) -> int:
             if {s["size"] for s in runs} != {row["elements"]}:
                 raise SystemExit(f"{op} {kind} {n}: sizes differ between runs")
             # microseconds resolve the ops suite's millisecond loops
-            metrics = ["wall_s", "peak_rss_mb"]
-            if runs[0]["warm_s"] is not None:
-                metrics.insert(1, "warm_s")
+            times = ["wall_s"] + (["warm_s"] if runs[0]["warm_s"] is not None
+                                  else [])
             row[side] = {metric: round(statistics.median(s[metric] for s in runs), 6)
-                         for metric in metrics}
+                         for metric in times + ["cpu_s", "peak_rss_mb"]}
+            # inclusive quartiles: of 5 runs, the 2nd and 4th when sorted
+            for metric in times if len(runs) > 1 else ():
+                row[side][metric + "_quartiles"] = [
+                    round(q, 6) for q in statistics.quantiles(
+                        [s[metric] for s in runs], n=4,
+                        method="inclusive")[::2]]
             row[side]["wall_s_runs"] = [round(s["wall_s"], 6) for s in runs]
         row["wall_ratio"] = round(row["parent"]["wall_s"]
                                   / row["change"]["wall_s"], 2)
