@@ -8,7 +8,8 @@ from tubelat import cycle_lattice as cl
 from tubelat import gtree as gt
 from tubelat.graph_core import vertices_of
 from helpers import (closure_leq, graph, lifts, load_fixture, poset,
-                     positions, reference_join_brackets, tubings)
+                     positions, reference_gtree_of, reference_join_brackets,
+                     tubings)
 
 
 def tubing_from(obj) -> tl.Tubing:
@@ -268,6 +269,18 @@ def test_shuffle_word_validation():
 
 
 # --- lift ------------------------------------------------------------------------
+
+def test_lift_parent_table_is_the_tree_of_the_base():
+    # the parent table the lift rotates is the tree of cut(j), by the
+    # nested scan of every tube; every path tubing up to n = 9 is a cut
+    for n in range(3, 10):
+        cuts = set()
+        for j in tubings("cycle", n):
+            x = cl.cut(j)
+            cuts.add(x)
+            assert list(cl._encode(j)[2]) == list(reference_gtree_of(x.graph, x).parent)
+        assert cuts == set(tubings("path", n))
+
 
 def test_lift_at_the_base_is_identity():
     for j in tubings("cycle", 5):
