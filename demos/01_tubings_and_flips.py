@@ -26,15 +26,15 @@ print("=== Flips on the 4-cycle ===")
 c4 = tl.make_graph("cycle", 4)
 t = tl.minimum_tubing(c4)
 print("  start:", t.tubes())
-t2, replacement = tl.flip(c4, t, {1, 2, 3})
+t2, replacement = tl.flip(t, {1, 2, 3})
 print("  flip the tube (1,2,3); the unique replacement is", replacement)
 print("  result:", t2.tubes())
-print("  does the result cover the start?", tl.covers(c4, t, t2))
+print("  does the result cover the start?", tl.covers(t, t2))
 
 print()
 print("=== The flip graph is regular ===")
 from tubelat.graph_core import iter_flip_neighbors
-degrees = {len({n.tube_masks for n, _, _ in iter_flip_neighbors(c4, t)})
+degrees = {len({n.tube_masks for n, _, _ in iter_flip_neighbors(t)})
            for t in tl.enumerate_maximal_tubings(c4)}
 print("  every one of the 20 tubings of the 4-cycle has degree", degrees)
 

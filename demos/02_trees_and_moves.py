@@ -26,7 +26,7 @@ print("=== All four tree moves ===")
 for v in (5, 4, 2, 1):
     moved = tl.tree_move(tree, v, "cycle-cbt")
     t2 = tl.tubing_of(c5, moved)
-    direction = "up" if tl.covers(c5, t, t2) else "down"
+    direction = "up" if tl.covers(t, t2) else "down"
     print(f"  move at {v}: new root {moved.root}, goes {direction}")
 
 print()
@@ -40,7 +40,7 @@ print()
 print("=== Zippers of a path tree ===")
 p7 = tl.make_graph("path", 7)
 x = tl.enumerate_maximal_tubings(p7)[100]
-gx = tl.gtree_of(p7, x)
+gx = tl.gtree_of(x)
 left, right = tl.zippers(gx)
 print("  tubing:", x.tubes())
 print("  root:", gx.root, " left zipper:", left, " right zipper:", right)

@@ -18,14 +18,14 @@ j = tl.Tubing.of(c9, [(2,), (4,), (6,), (8,), (8, 9), (1, 2, 8, 9),
 
 print("=== A tubing of the 9-cycle ===")
 print("  tubes:", j.tubes())
-tree = tl.gtree_of(c9, j)
+tree = tl.gtree_of(j)
 print("  tree root:", tree.root)
 
 print()
 print("=== Its cut image on the path ===")
 x = cl.cut(j)
 print("  tubes:", x.tubes())
-left, right = tl.zippers(tl.gtree_of(x.graph, x))
+left, right = tl.zippers(tl.gtree_of(x))
 print("  left zipper:", left, "  right zipper:", right)
 
 print()

@@ -4,7 +4,7 @@ from .graph_core import (COMPLETE, CUSTOM, CYCLE, PATH, Graph, Tubing,
                          compatible, covers, custom_graph,
                          enumerate_maximal_tubings, flip, is_maximal_tubing,
                          is_tube, make_graph, minimum_tubing, relabel_reverse,
-                         top, tubing_from_json, tubing_to_json)
+                         tubing_from_json, tubing_to_json)
 from .gtree import (CYCLE_CBT, PATH_BST, GTree, PairStats, gtree_from_json,
                     gtree_of, gtree_to_dot, gtree_to_json, pair_statistics,
                     tree_move, tubing_of, validate, zippers)

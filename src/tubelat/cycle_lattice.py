@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph_core import (CYCLE, PATH, Graph, Tubing, make_graph,
+from .graph_core import (CYCLE, PATH, Graph, Tubing, _same_n, make_graph,
                          relabel_reverse)
 from .gtree import _zipper_chains, gtree_of, inversion_masks
 
@@ -33,11 +33,6 @@ from .gtree import _zipper_chains, gtree_of, inversion_masks
 def _require(t: Tubing, kind: str):
     if t.graph.kind != kind:
         raise ValueError(f"expected a {kind} tubing, got {t.graph.kind}")
-
-
-def _same_n(a: Tubing, b: Tubing):
-    if a.graph != b.graph:
-        raise ValueError("tubings live on different graphs")
 
 
 def leq_path(x: Tubing, y: Tubing) -> bool:
@@ -245,7 +240,7 @@ def _encode(j: Tubing) -> tuple:
     and j's word over it; the vectors are bytes (no entry exceeds n <= 63),
     a third of a tuple's size."""
     x = cut(j)
-    return (x, bytes(_right_sizes(x)), bytes(gtree_of(x.graph, x).parent),
+    return (x, bytes(_right_sizes(x)), bytes(gtree_of(x).parent),
             bytes(_word_over(j, x).word))
 
 

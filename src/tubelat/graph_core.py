@@ -277,11 +277,7 @@ class Tubing:
         return self.down_masks.index(m)
 
 
-def top(t: Tubing, x: Iterable[int] | int) -> int:
-    return t.top(x)
-
-
-def flip(graph: Graph, t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple[int, ...]]:
+def flip(t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple[int, ...]]:
     """Exchange the tube x for the unique other tube giving a maximal tubing.
 
     The replacement is the connected component of Y minus top(x) containing
@@ -291,7 +287,7 @@ def flip(graph: Graph, t: Tubing, x: Iterable[int] | int) -> tuple[Tubing, tuple
     xm = x if isinstance(x, int) else mask_of(x)
     if xm not in t.tube_masks:
         raise ValueError("tube to flip is not in the tubing")
-    if xm == graph.full_mask:
+    if xm == t.graph.full_mask:
         raise ValueError("the full tube cannot be flipped")
     replacement = next(rep for m, rep, _, _ in _flips(t) if m == xm)
     return _swap(t, xm, replacement), vertices_of(replacement)
@@ -354,8 +350,14 @@ def _swap(t: Tubing, x: int, replacement: int) -> Tubing:
     return Tubing(t.graph, tuple(masks))
 
 
-def covers(graph: Graph, a: Tubing, b: Tubing) -> bool:
+def _same_n(a: Tubing, b: Tubing):
+    if a.graph != b.graph:
+        raise ValueError("tubings live on different graphs")
+
+
+def covers(a: Tubing, b: Tubing) -> bool:
     """True when b covers a: one tube differs and its top label increases."""
+    _same_n(a, b)
     only_a = set(a.tube_masks) - set(b.tube_masks)
     only_b = set(b.tube_masks) - set(a.tube_masks)
     if len(only_a) != 1 or len(only_b) != 1:
@@ -520,7 +522,7 @@ def tubing_from_obj(obj: dict) -> Tubing:
     return Tubing.of(graph, [tuple(tu) for tu in tubes])
 
 
-def iter_flip_neighbors(graph: Graph, t: Tubing) -> Iterator[tuple[Tubing, int, int]]:
+def iter_flip_neighbors(t: Tubing) -> Iterator[tuple[Tubing, int, int]]:
     """Yield (neighbor, old_top, new_top) for every flip of t."""
     for m, rep, old_top, new_top in _flips(t):
         yield _swap(t, m, rep), old_top, new_top

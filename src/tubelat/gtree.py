@@ -165,7 +165,7 @@ def pair_statistics(g: GTree) -> PairStats:
 
 # --- conversions ------------------------------------------------------------
 
-def gtree_of(graph: Graph, t: Tubing) -> GTree:
+def gtree_of(t: Tubing) -> GTree:
     """The tree encoding of a maximal tubing: parents follow tube nesting.
 
     One pass over the size-sorted tubes, the roots pass of
@@ -173,7 +173,7 @@ def gtree_of(graph: Graph, t: Tubing) -> GTree:
     held so far that it contains become u's children. The top of the last
     tube, the full one, is the root. O(n) beyond the bits it reads.
     """
-    parent = [0] * (graph.n + 1)
+    parent = [0] * (t.n + 1)
     seen = roots = 0
     for m in t.tube_masks:
         top = m & ~seen
@@ -185,7 +185,7 @@ def gtree_of(graph: Graph, t: Tubing) -> GTree:
             held ^= low
         roots = roots & ~m | top
         seen |= m
-    return GTree(graph.n, u, tuple(parent))
+    return GTree(t.n, u, tuple(parent))
 
 
 def tubing_of(graph: Graph, g: GTree) -> Tubing:

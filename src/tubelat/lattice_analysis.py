@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graph_core import (CYCLE, Graph, _bit, _check_vertex_count,
-                         _flip_graph, make_graph)
+from .graph_core import Graph, _check_vertex_count, _flip_graph
 from .gtree import GTree
 
 
@@ -476,10 +475,15 @@ def forcing_system(n: int) -> ForcingSystem:
                          frozenset(forces))
 
 
+def _non_increasing_arrow(arrows) -> tuple[JiIndex, JiIndex] | None:
+    """The first arrow (a, b) with _rank(a) >= _rank(b), or None."""
+    return next(((a, b) for a, b in arrows if _rank(a) >= _rank(b)), None)
+
+
 def check_congruence_uniform(n: int) -> bool:
     """True when every direct forcing arrow raises the total-order key
     _rank, which certifies that direct forcing has no directed cycle."""
-    return all(_rank(a) < _rank(b) for a, b in forcing_system(n).arrows_force)
+    return _non_increasing_arrow(forcing_system(n).arrows_force) is None
 
 
 def _kappa_failure(p: FinitePoset) -> tuple[int, int, int] | None:

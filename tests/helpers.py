@@ -297,7 +297,7 @@ def reference_build_poset(g):
     index = {t.tube_masks: i for i, t in enumerate(elems)}
     covers_up = [set() for _ in elems]
     for i, t in enumerate(elems):
-        for t2, old_top, new_top in gc.iter_flip_neighbors(g, t):
+        for t2, old_top, new_top in gc.iter_flip_neighbors(t):
             j = index[t2.tube_masks]
             if old_top < new_top:
                 covers_up[i].add(j)
@@ -327,9 +327,10 @@ def reference_down_masks(t):
     return tuple(down)
 
 
-def reference_gtree_of(g, t):
+def reference_gtree_of(t):
     """The tree of t: each parent tops the smallest tube properly holding
     the child's tube, found by a scan of every tube per vertex."""
+    g = t.graph
     parent = [0] * (g.n + 1)
     root = reference_top(t, g.full_mask)
     for v in range(1, g.n + 1):
@@ -399,13 +400,12 @@ def closure_order(kind: str, n: int):
 
     Returns (elements, up) with up[i] a bit mask over element indices.
     """
-    g = graph(kind, n)
     elems = tubings(kind, n)
     size = len(elems)
     succ = [[] for _ in range(size)]
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            if i != j and tl.covers(g, a, b):
+            if i != j and tl.covers(a, b):
                 succ[i].append(j)
     up = [1 << i for i in range(size)]
     changed = True

@@ -95,7 +95,7 @@ def test_criterion_05_fibers():
     for n in range(3, 8):
         total = 0
         for x in tubings("path", n):
-            left, right = tl.zippers(tl.gtree_of(x.graph, x))
+            left, right = tl.zippers(tl.gtree_of(x))
             size = len(cl.fiber_words(x))
             expect = (math.factorial(len(left) + len(right))
                       // math.factorial(len(left)) // math.factorial(len(right)))
@@ -131,7 +131,7 @@ def test_criterion_06_join_irreducibles():
             for k in range(1, n - 1):
                 lower = gt.tubing_of(cg, la.canonical_ji(n, i, k))
                 upper = gt.tubing_of(cg, la.canonical_ji(n, i, k + 1))
-                ok = ok and tl.covers(cg, lower, upper)
+                ok = ok and tl.covers(lower, upper)
         grid = {(i, k): gt.tubing_of(cg, la.canonical_ji(n, i, k))
                 for i in range(1, n) for k in range(1, n)}
         for (i, k), a in grid.items():
@@ -198,7 +198,6 @@ def test_criterion_11_selfduality_and_regularity():
     from tubelat import graph_core as gc
     ok = True
     for n in range(3, 8):
-        cg = graph("cycle", n)
         elems = tubings("cycle", n)
         ok = ok and len(elems) == math.comb(2 * n - 2, n - 1)
         keys = {t.tube_masks for t in elems}
@@ -206,11 +205,11 @@ def test_criterion_11_selfduality_and_regularity():
             r = tl.relabel_reverse(t)
             ok = ok and r.tube_masks in keys and tl.relabel_reverse(r) == t
             nbrs = {t2.tube_masks
-                    for t2, _, _ in gc.iter_flip_neighbors(cg, t)}
+                    for t2, _, _ in gc.iter_flip_neighbors(t)}
             ok = ok and len(nbrs) == n - 1
-            for t2, lo, hi in gc.iter_flip_neighbors(cg, t):
+            for t2, lo, hi in gc.iter_flip_neighbors(t):
                 if lo < hi:
-                    ok = ok and tl.covers(cg, tl.relabel_reverse(t2),
+                    ok = ok and tl.covers(tl.relabel_reverse(t2),
                                           tl.relabel_reverse(t))
     for n in range(3, 6):
         elems = tubings("cycle", n)
@@ -253,10 +252,9 @@ def test_criterion_13_fixture_catalogs():
     catalog = load_fixture("path3_catalog.json")
     got = {tl.tubing_to_json(t) for t in tubings("path", 3)}
     ok = ok and got == {compact(e["tubing"]) for e in catalog["tubings"]}
-    p3 = graph("path", 3)
     for entry in catalog["tubings"]:
         t = tl.tubing_from_json(compact(entry["tubing"]))
-        ok = ok and gt.gtree_to_json(tl.gtree_of(p3, t)) == \
+        ok = ok and gt.gtree_to_json(tl.gtree_of(t)) == \
             compact(entry["tree"])
 
     catalog = load_fixture("cycle4_catalog.json")
@@ -287,9 +285,9 @@ def test_criterion_13_fixture_catalogs():
     j9 = tl.tubing_from_json(compact(fx["tubing"]))
     x9 = cl.cut(j9)
     ok = ok and tl.tubing_to_json(x9) == compact(fx["cut_tubing"])
-    ok = ok and gt.gtree_to_json(tl.gtree_of(j9.graph, j9)) == \
+    ok = ok and gt.gtree_to_json(tl.gtree_of(j9)) == \
         compact(fx["tree"])
-    ok = ok and gt.gtree_to_json(tl.gtree_of(x9.graph, x9)) == \
+    ok = ok and gt.gtree_to_json(tl.gtree_of(x9)) == \
         compact(fx["cut_tree"])
     ok = ok and tl.tubing_to_json(cl.sew(x9, cl.parse_word(fx["sew_word"]))) \
         == compact(fx["tubing"])
@@ -303,9 +301,9 @@ def test_criterion_13_fixture_catalogs():
         ok = ok and gt.gtree_to_json(moved) == compact(mv["result"])
         t2 = gt.tubing_of(c5, moved)
         if mv["direction"] == "up":
-            ok = ok and tl.covers(c5, t, t2)
+            ok = ok and tl.covers(t, t2)
         else:
-            ok = ok and tl.covers(c5, t2, t)
+            ok = ok and tl.covers(t2, t)
 
     fx = load_fixture("cycle6_cut_example.json")
     j6 = tl.tubing_from_json(compact(fx["tubing"]))

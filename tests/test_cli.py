@@ -413,7 +413,7 @@ def test_verify_order_fails_when_a_tree_move_is_wrong(monkeypatch):
     p = cli._poset("cycle", 4)
     monkeypatch.setattr(gt, "tree_move", lambda g, v, kind: g)
     ok, lines, witness = cli.verify_order(4)
-    root = gt.gtree_of(p.objects[0].graph, p.objects[0]).root
+    root = gt.gtree_of(p.objects[0]).root
     assert not ok and lines == []
     assert witness == {"tree_move_mismatch": [p.keys[0], 1 + (root == 1)]}
 
@@ -455,9 +455,8 @@ def test_tree_move_check_agrees_with_the_rebuilt_tubing(n):
     # every move is the tree of exactly one neighbour, the flip of the
     # moved vertex's tube, and three broken versions of each move are the
     # tree of no element
-    graph = gc.make_graph("cycle", n)
     p = cli._poset("cycle", n)
-    trees = [gt.gtree_of(graph, t) for t in p.objects]
+    trees = [gt.gtree_of(t) for t in p.objects]
     at = {g.parent: a for a, g in enumerate(trees)}
     index = {t: a for a, t in enumerate(p.objects)}
     assert len(at) == len(index) == len(p)
@@ -491,7 +490,7 @@ def test_verify_order_fails_on_a_broken_tree_move(monkeypatch, broken):
     real = gt.tree_move
     monkeypatch.setattr(gt, "tree_move",
                         lambda g, v, kind: broken(real(g, v, kind)))
-    root = gt.gtree_of(p.objects[0].graph, p.objects[0]).root
+    root = gt.gtree_of(p.objects[0]).root
     assert cli.verify_order(4) == (False, [], {
         "tree_move_mismatch": [p.keys[0], 1 + (root == 1)]})
 
@@ -526,7 +525,7 @@ def test_verify_order_fails_when_two_pairs_trade_bits(monkeypatch, e1, e2):
     monkeypatch.setattr(gt, "inversion_masks",
                         lambda x: tuple(map(swap, real(x))))
     def edges_agree(t):
-        stats = gt.pair_statistics(gt.gtree_of(t.graph, t))
+        stats = gt.pair_statistics(gt.gtree_of(t))
         return stats.asc <= stats.coinv and stats.desc <= stats.inv
 
     a = next(a for a, t in enumerate(p.objects) if not edges_agree(t))
@@ -1171,7 +1170,7 @@ def test_verify_pairs_fails_when_two_irreducibles_are_swapped(monkeypatch):
 
 def test_verify_ji_fails_on_a_broken_chain_or_poset(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(gc, "covers", lambda graph, a, b: False)
+        m.setattr(gc, "covers", lambda a, b: False)
         assert cli.verify_ji(4) == (False, [], {"chain_not_saturated": [1, 2]})
     with monkeypatch.context() as m:
         m.setattr(la, "join_irreducibles",
@@ -1179,3 +1178,104 @@ def test_verify_ji_fails_on_a_broken_chain_or_poset(monkeypatch):
         ok, lines, witness = cli.verify_ji(4)
         assert not ok and len(lines) == 1
         assert witness == {"poset_ji_count": 8, "expected": 9}
+
+
+def test_verify_order_fails_on_an_invalid_tree(monkeypatch):
+    p = cli._poset("cycle", 4)
+    bad = gt.gtree_of(p.objects[-1])
+    real = gt.validate
+    monkeypatch.setattr(gt, "validate",
+                        lambda g, kind: g != bad and real(g, kind))
+    assert cli.verify_order(4) == (False, [], {
+        "invalid_tree_for": p.keys[-1]})
+
+
+def test_verify_order_fails_when_a_tree_does_not_round_trip(monkeypatch):
+    # element 2 is read as the tree of element 3: a valid tree, whose
+    # down sets rebuild element 3
+    p = cli._poset("cycle", 4)
+    real = gt.gtree_of
+    monkeypatch.setattr(gt, "gtree_of", lambda t: real(
+        p.objects[3] if t is p.objects[2] else t))
+    assert cli.verify_order(4) == (False, [], {
+        "roundtrip_failed_for": p.keys[2]})
+
+
+def test_verify_ji_fails_on_an_invalid_canonical_tree(monkeypatch):
+    bad = la.canonical_ji(4, 2, 3)
+    real = gt.validate
+    monkeypatch.setattr(gt, "validate",
+                        lambda g, kind: g != bad and real(g, kind))
+    assert cli.verify_ji(4) == (False, [], {"invalid_canonical_tree": [2, 3]})
+
+
+def test_verify_ji_fails_on_a_second_descent(monkeypatch):
+    # the tree of (3, 1) reads its ascents as descents too
+    bad = la.canonical_ji(4, 3, 1)
+    real = gt.pair_statistics
+    stats = real(bad)
+    desc = stats.desc | stats.asc
+    monkeypatch.setattr(gt, "pair_statistics", lambda g: dataclasses.replace(
+        stats, desc=desc) if g == bad else real(g))
+    assert cli.verify_ji(4) == (False, [], {
+        "descent_count": [3, 1, sorted(desc)]})
+
+
+def test_verify_ji_fails_when_the_inversions_miss_the_closed_form(
+        monkeypatch):
+    bad = la.canonical_ji(4, 2, 2)
+    real = gt.pair_statistics
+    monkeypatch.setattr(gt, "pair_statistics", lambda g: dataclasses.replace(
+        real(g), inv=frozenset()) if g == bad else real(g))
+    assert cli.verify_ji(4) == (False, [], {"inversion_formula": [2, 2]})
+
+
+def test_verify_ji_fails_when_two_trees_give_one_tubing(monkeypatch):
+    # (2, 1) is rebuilt as the tubing of (1, 1)
+    first, bad = la.canonical_ji(4, 1, 1), la.canonical_ji(4, 2, 1)
+    real = gt.tubing_of
+    monkeypatch.setattr(gt, "tubing_of", lambda graph, g: real(
+        graph, first if g == bad else g))
+    assert cli.verify_ji(4) == (False, [], {"duplicate": [[2, 1], [1, 1]]})
+
+
+def test_verify_ji_fails_when_kappa_repeats(monkeypatch):
+    real = la.kappa
+    monkeypatch.setattr(la, "kappa", lambda n, i, k: real(
+        n, *((1, 1) if (i, k) == (3, 3) else (i, k))))
+    assert cli.verify_ji(4) == (False, [], {"kappa_not_bijective": 4})
+
+
+def test_verify_ji_fails_when_a_meet_irreducible_is_lost(monkeypatch):
+    monkeypatch.setattr(la, "meet_irreducibles",
+                        lambda p, real=la.meet_irreducibles: real(p)[:-1])
+    assert cli.verify_ji(4) == (False, [
+        "ji: 9 canonical trees distinct, single-descent, inversions match "
+        "the closed form, chains saturated (n=4)"],
+        {"meet_irreducibles_mismatch": 4})
+
+
+def test_verify_pairs_fails_on_the_wrong_count(monkeypatch):
+    monkeypatch.setattr(la, "pairs_lattice",
+                        lambda n, real=la.pairs_lattice: real(n - 1))
+    assert cli.verify_pairs(4) == (False, [], {"pairs_count": 6,
+                                               "expected": 20})
+
+
+def test_verify_pairs_fails_when_two_pairs_repeat(monkeypatch):
+    # the first pair's set is replaced by the second's
+    def repeated(n, real=la.pairs_lattice):
+        pl = real(n)
+        return dataclasses.replace(pl,
+                                   objects=pl.objects[1:2] + pl.objects[1:])
+
+    monkeypatch.setattr(la, "pairs_lattice", repeated)
+    assert cli.verify_pairs(4) == (False, [],
+                                   {"pairs_objects_not_distinct": 4})
+
+
+def test_verify_pairs_fails_when_two_elements_share_a_downset(monkeypatch):
+    # the bottom reads its irreducibles below as element 1's
+    monkeypatch.setattr(la.FinitePoset, "leq", lambda self, a, b,
+                        real=la.FinitePoset.leq: real(self, a, b or 1))
+    assert cli.verify_pairs(4) == (False, [], {"not_bijective": 4})

@@ -112,11 +112,10 @@ def test_cut_of_minimum_is_minimum():
 
 def test_cut_tree_is_the_unzipping():
     for n in (4, 5, 6):
-        cg, pg = graph("cycle", n), graph("path", n)
         for j in tubings("cycle", n):
-            tree = tl.gtree_of(cg, j)
+            tree = tl.gtree_of(j)
             m = tree.root
-            unzipped = tl.gtree_of(pg, cl.cut(j))
+            unzipped = tl.gtree_of(cl.cut(j))
             for v in range(1, n + 1):
                 if v == m:
                     continue
@@ -195,7 +194,7 @@ def test_cut_after_sew_is_identity_everywhere():
     for n in (3, 4, 5, 6):
         total = 0
         for x in tubings("path", n):
-            left, right = tl.zippers(tl.gtree_of(x.graph, x))
+            left, right = tl.zippers(tl.gtree_of(x))
             words = cl.fiber_words(x)
             assert len(words) == math.comb(len(left) + len(right), len(left))
             for w in words:
@@ -225,9 +224,9 @@ def test_sew_maps_down_sets_to_down_sets():
 
 def test_sew_tree_extends_base_relations_by_the_word_chain():
     for x in tubings("path", 5):
-        base_tree = tl.gtree_of(x.graph, x)
+        base_tree = tl.gtree_of(x)
         for w in cl.fiber_words(x):
-            tree = tl.gtree_of(graph("cycle", 5), cl.sew(x, w))
+            tree = tl.gtree_of(cl.sew(x, w))
             for v in range(1, 6):
                 assert tree.down_masks[v] & base_tree.down_masks[v] == \
                     base_tree.down_masks[v]
@@ -237,15 +236,14 @@ def test_sew_tree_extends_base_relations_by_the_word_chain():
 
 def test_fiber_order_is_the_weak_order_on_words():
     # covers inside a fiber are exactly adjacent left/right transpositions
-    c5 = graph("cycle", 5)
     for x in tubings("path", 5):
-        left, _ = tl.zippers(tl.gtree_of(x.graph, x))
+        left, _ = tl.zippers(tl.gtree_of(x))
         leftset = set(left)
         words = cl.fiber_words(x)
         elems = [cl.sew(x, w) for w in words]
         for a, wa in zip(elems, words):
             for b, wb in zip(elems, words):
-                is_cover = tl.covers(c5, a, b)
+                is_cover = tl.covers(a, b)
                 swaps = [i for i in range(len(wa.word) - 1)
                          if wa.word[i] in leftset
                          and wb.word[i] == wa.word[i + 1]
@@ -278,7 +276,7 @@ def test_lift_parent_table_is_the_tree_of_the_base():
         for j in tubings("cycle", n):
             x = cl.cut(j)
             cuts.add(x)
-            assert list(cl._encode(j)[2]) == list(reference_gtree_of(x.graph, x).parent)
+            assert list(cl._encode(j)[2]) == list(reference_gtree_of(x).parent)
         assert cuts == set(tubings("path", n))
 
 
@@ -321,12 +319,12 @@ def test_lift_is_independent_of_the_chain():
     for n in (4, 5):
         for j in tubings("cycle", n):
             cj = cl.cut(j)
-            start = list(tl.gtree_of(cj.graph, cj).parent)
+            start = list(tl.gtree_of(cj).parent)
             word = list(cl.word_of(j).word)
             for x in tubings("path", n):
                 if not cl.leq_path(cj, x):
                     continue
-                tree = list(tl.gtree_of(x.graph, x).parent)
+                tree = list(tl.gtree_of(x).parent)
                 words = words_over_all_chains(start, cl._right_sizes(cj), word,
                                               cl._right_sizes(x), tree)
                 assert {cl.sew(x, w).tube_masks for w in words} == \
@@ -434,7 +432,7 @@ def test_path_meets_and_joins_are_componentwise_on_subtree_sizes():
     # Huang-Tamari: the oracle meet takes the componentwise minimum of the
     # right subtree sizes, the oracle join that of the left subtree sizes
     def subtree_sizes(t):
-        g = tl.gtree_of(t.graph, t)
+        g = tl.gtree_of(t)
         down = [vertices_of(g.down_masks[v]) for v in range(1, t.n + 1)]
         return ([sum(u > v for u in d) for v, d in enumerate(down, 1)],
                 [sum(u < v for u in d) for v, d in enumerate(down, 1)])

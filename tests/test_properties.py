@@ -75,7 +75,7 @@ def test_lift_is_the_least_fiber_element_above(pair):
 def test_cut_and_sew_are_inverse(j, data):
     x = cl.cut(j)
     assert cl.sew(x, cl.word_of(j)) == j
-    left, right = tl.zippers(tl.gtree_of(x.graph, x))
+    left, right = tl.zippers(tl.gtree_of(x))
     size = len(left) + len(right)
     slots = data.draw(st.sets(st.integers(0, size - 1), min_size=len(left),
                               max_size=len(left)))

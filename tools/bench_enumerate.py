@@ -87,10 +87,12 @@ SUITES = {"enumerate": ENUMERATE_CASES, "oracle": ORACLE_CASES,
           "ops": OPS_CASES, "verify": VERIFY_CASES}
 
 CHILD = r"""
-import contextlib, io, json, math, random, sys, time
+import contextlib, inspect, io, json, math, random, sys, time
 from tubelat import cli, graph_core, gtree, lattice_analysis as la
 from tubelat import cycle_lattice as cl
 OPS_PAIRS = 200
+# trees from before gtree_of read the graph off the tubing take it first
+GRAPH_ARG = "graph" in inspect.signature(gtree.gtree_of).parameters
 ORACLE = {"lattice_failure": la.lattice_failure,
           "join_table+meet_table": lambda p: (p.join_table, p.meet_table),
           "semidistributivity_witness": la.semidistributivity_witness,
@@ -100,7 +102,8 @@ OPS = {"join_cycle": lambda j, k, x: cl.join_cycle(j, k),
        "leq_cycle": lambda j, k, x: cl.leq_cycle(j, k),
        "cut": lambda j, k, x: cl.cut(j),
        "lift": lambda j, k, x: cl.lift(j, x),
-       "gtree_of": lambda j, k, x: gtree.gtree_of(j.graph, j)}
+       "gtree_of": (lambda j, k, x: gtree.gtree_of(j.graph, j)) if GRAPH_ARG
+       else (lambda j, k, x: gtree.gtree_of(j))}
 
 
 def vmhwm():
