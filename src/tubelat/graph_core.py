@@ -54,12 +54,29 @@ def _check_vertex_count(n: int):
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
 
 
-@lru_cache(maxsize=1 << 16)
-def _tube_sort_key(mask: int) -> tuple[int, tuple[int, ...], str]:
-    """(size, vertices) orders tubes; the JSON text of the vertices, which
-    Tubing.key() joins, follows and never decides the order."""
-    vertices = vertices_of(mask)
-    return (mask.bit_count(), vertices, "[" + ",".join(map(str, vertices)) + "]")
+_TUBE_TABLE_SIZE = 1 << 16  # all_tubes at n = 20 sorts up to 2^20 masks
+
+
+class _TubeTable(dict):
+    """mask -> a value derived from the mask alone, made on the first miss,
+    so a hit is one dict lookup with no Python frame. A full table starts
+    over, which keeps it to _TUBE_TABLE_SIZE masks."""
+
+    def __init__(self, derive):
+        super().__init__()
+        self.derive = derive
+
+    def __missing__(self, mask: int):
+        if len(self) >= _TUBE_TABLE_SIZE:
+            self.clear()
+        value = self[mask] = self.derive(mask)
+        return value
+
+
+# (size, vertices) orders tubes; the JSON text of the vertices is what
+# Tubing.key() joins
+_tube_order = _TubeTable(lambda m: (m.bit_count(), vertices_of(m)))
+_tube_text = _TubeTable(lambda m: "[" + ",".join(map(str, vertices_of(m))) + "]")
 
 
 @dataclass(frozen=True)
@@ -161,11 +178,14 @@ def make_graph(kind: str, n: int) -> Graph:
 
 
 def custom_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    canon = frozenset(tuple(sorted((u, v))) for u, v in edges)
-    for u, v in canon:
-        if u == v:
+    canon = set()
+    for e in map(tuple, edges):
+        if len(e) != 2:
+            raise ValueError(f"custom graph edges must be vertex pairs, got {list(e)}")
+        if e[0] == e[1]:
             raise ValueError("loops are not allowed")
-    return Graph(n=n, edges=canon, kind=CUSTOM)
+        canon.add(tuple(sorted(e)))
+    return Graph(n=n, edges=frozenset(canon), kind=CUSTOM)
 
 
 def is_tube(graph: Graph, s: Iterable[int] | int) -> bool:
@@ -198,7 +218,7 @@ def all_tubes(graph: Graph) -> tuple[int, ...]:
     if graph.n > 20:
         raise ValueError("all_tubes() is only feasible for small graphs")
     found = [m for m in range(1, graph.full_mask + 1) if _connected_mask(m, graph.adj)]
-    found.sort(key=_tube_sort_key)
+    found.sort(key=_tube_order.__getitem__)
     return tuple(found)
 
 
@@ -239,7 +259,7 @@ class Tubing:
 
     @staticmethod
     def _make(graph: Graph, masks: Iterable[int]) -> "Tubing":
-        return Tubing(graph, tuple(sorted(masks, key=_tube_sort_key)))
+        return Tubing(graph, tuple(sorted(masks, key=_tube_order.__getitem__)))
 
     @property
     def n(self) -> int:
@@ -250,8 +270,9 @@ class Tubing:
         return tuple(vertices_of(m) for m in self.tube_masks)
 
     def key(self) -> str:
-        """Canonical serialized form, used for ordering and deduplication."""
-        return "[" + ",".join([_tube_sort_key(m)[2] for m in self.tube_masks]) + "]"
+        """The tubes as compact JSON, smallest first: the flip pass sorts
+        each breadth-first layer by it, and it names a poset element."""
+        return "[" + ",".join(map(_tube_text.__getitem__, self.tube_masks)) + "]"
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -346,7 +367,7 @@ def _swap(t: Tubing, x: int, replacement: int) -> Tubing:
     """t with the tube x replaced, kept in canonical order."""
     masks = list(t.tube_masks)
     masks.remove(x)
-    bisect.insort(masks, replacement, key=_tube_sort_key)
+    bisect.insort(masks, replacement, key=_tube_order.__getitem__)
     return Tubing(t.graph, tuple(masks))
 
 
@@ -398,8 +419,8 @@ def enumerate_maximal_tubings(graph: Graph) -> tuple[Tubing, ...]:
 
     Layers expand from the seed tubing; within a layer, tubings are sorted
     by their canonical serialized form, so the output order is deterministic.
-    Path n = 12 (208,012 tubings) and cycle n = 11 (184,756) take 4 to 5 s
-    each, at peak resident sets of 95 and 69 MB (BENCH_enumerate.json).
+    Path n = 12 (208,012 tubings) and cycle n = 11 (184,756) take 3.2 and
+    2.9 s, at peak resident sets of 96 and 69 MB (BENCH_enumerate.json).
     """
     return _flip_graph(graph)[0]
 
@@ -501,7 +522,7 @@ def graph_from_obj(obj: dict) -> Graph:
     if kind == CUSTOM:
         if not _vertex_lists(obj.get("edges"), n):
             raise ValueError("custom graph edges must be vertex pairs")
-        return custom_graph(n, [tuple(e) for e in obj["edges"]])
+        return custom_graph(n, obj["edges"])
     return make_graph(kind, n)
 
 

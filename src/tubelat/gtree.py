@@ -44,10 +44,13 @@ class GTree:
         if not 1 <= root <= n:
             raise ValueError("root out of range")
         table = [0] * (n + 1)
-        for v, p in parent.items():
-            v, p = int(v), int(p)
-            if not (1 <= v <= n and 1 <= p <= n) or v == root:
-                raise ValueError(f"bad parent entry {v} -> {p}")
+        # a key is a vertex or, from JSON, its label as str(v) spells it:
+        # " 1" or "01" names no vertex, so it cannot overwrite "1"
+        labels = {str(v): v for v in range(1, n + 1)}
+        for key, p in parent.items():
+            v, p = labels.get(str(key), 0), int(p)
+            if not (v and 1 <= p <= n) or v == root:
+                raise ValueError(f"bad parent entry {key!r} -> {p}")
             table[v] = p
         for v in range(1, n + 1):
             if v != root and table[v] == 0:

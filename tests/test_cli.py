@@ -68,7 +68,9 @@ def test_enumerate_rejects_bad_and_infeasible_sizes(capsys):
 @pytest.mark.parametrize("kind, n, digest", [
     ("path", 10, "0c657fd30a0aec036eaeba334a6b1d681342598803b65eec1bf9b6fda4c60ba3"),
     ("cycle", 9, "76339b3658b6c0e9682a5f3baecda357d9a39c572b0707464116b5c3b4301314"),
-], ids=["path-10", "cycle-9"])
+    # the first pinned catalog whose tubes interleave across all sizes
+    ("complete", 7, "c687e8bcf0653431387385251019641c22f9e0986dbf980a4ccb57c05323d76a"),
+], ids=["path-10", "cycle-9", "complete-7"])
 def test_enumerate_json_catalog_is_pinned(capsys, kind, n, digest):
     code, out, _ = run(capsys, "enumerate", "--graph", kind, "--n", str(n),
                        "--format", "json")
@@ -146,6 +148,27 @@ def test_malformed_tubing_json_exits_two(capsys, tmp_path, obj):
     bad = write_json(tmp_path, "bad.json", obj)
     code, out, err = run(capsys, "cut", "--input", bad)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("edge", [[1, 2, 3], [1]])
+def test_custom_graph_edges_that_are_not_pairs_exit_two(capsys, tmp_path, edge):
+    bad = write_json(tmp_path, "bad.json", {
+        "graph": {"kind": "custom", "n": 3, "edges": [edge, [2, 3]]},
+        "tubes": [[1], [1, 2], [1, 2, 3]]})
+    code, out, err = run(capsys, "gtree", "--input", bad)
+    assert (code, out) == (2, "")
+    assert err == f"error: custom graph edges must be vertex pairs, got {edge}\n"
+
+
+@pytest.mark.parametrize("key", ["x", "1.0", " 1", "01", "+1", "1_0", ""])
+def test_tree_json_keys_must_be_canonical_vertex_labels(capsys, tmp_path, key):
+    # "01" would otherwise overwrite the entry of "1" and " 1" name vertex 1
+    parent = {"1": 2, "2": 3} if key == "01" else {"2": 3}
+    parent[key] = 2
+    bad = write_json(tmp_path, "bad.json", {"n": 3, "root": 3, "parent": parent})
+    code, out, err = run(capsys, "gtree", "--input", bad, "--graph", "path")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad parent entry {key!r} -> 2\n"
 
 
 def write_wide_fiber_base(tmp_path):

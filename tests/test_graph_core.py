@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -43,6 +44,10 @@ def test_custom_graph_must_be_connected_and_simple():
         tl.custom_graph(2, [(1, 1), (1, 2)])
     star = tl.custom_graph(4, [(1, 2), (1, 3), (1, 4)])
     assert star.kind == "custom"
+    for edge in ([1, 2, 3], [1], []):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"must be vertex pairs, got {edge}")):
+            tl.custom_graph(3, [edge, (2, 3)])
 
 
 def test_is_tube():
@@ -315,6 +320,30 @@ def test_enumeration_is_deterministic():
     second = [t.key() for t in tl.enumerate_maximal_tubings(graph("cycle", 5))]
     assert first == second
     assert len(set(first)) == len(first)
+
+
+def test_tube_tables_match_their_definitions():
+    for m in range(1 << 10):
+        assert gc._tube_order[m] == (m.bit_count(), gc.vertices_of(m))
+        assert gc._tube_text[m] == json.dumps(list(gc.vertices_of(m)),
+                                              separators=(",", ":"))
+
+
+def test_tube_tables_that_start_over_give_the_same_output(monkeypatch):
+    custom = reference_graphs()[-1]
+    assert custom.kind == "custom"
+    cases = [graph("path", 7), graph("cycle", 6), graph("complete", 5)]
+
+    def outputs():
+        return ([[tl.tubing_to_json(t) for t in tl.enumerate_maximal_tubings(g)]
+                 for g in cases], gc.all_tubes(custom))
+
+    want = outputs()
+    monkeypatch.setattr(gc, "_TUBE_TABLE_SIZE", 2)
+    for table in (gc._tube_order, gc._tube_text):
+        table.clear()  # so that every mask is a miss
+    assert outputs() == want
+    assert len(gc._tube_order) <= 2 and len(gc._tube_text) <= 2
 
 
 def test_every_tubing_has_n_minus_one_flips():

@@ -294,6 +294,8 @@ def test_gtree_of_rejects_malformed_trees():
         gt.GTree.of(3, 1, {2: 3, 3: 2})  # cycle between 2 and 3
     with pytest.raises(ValueError):
         gt.GTree.of(3, 1, {2: 1})  # 3 has no parent
+    with pytest.raises(ValueError, match="bad parent entry '03' -> 1"):
+        gt.GTree.of(3, 1, {2: 1, "03": 1})  # not the label of vertex 3
 
 
 def test_gtree_of_rejects_vertex_counts_out_of_range():

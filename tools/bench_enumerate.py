@@ -33,9 +33,10 @@ its warm call, and the process CPU time (time.process_time) over the
 same span as the wall time. The two trees alternate which runs first on
 each repeat. The JSON written holds, per case, the median wall time, warm
 time, CPU time and peak RSS of each tree over the repeats, the quartiles
-of the wall and warm times, every raw wall time, and the command line. On
-a loaded host the CPU time and the quartiles tell a change from noise
-better than a ratio of two medians.
+of the wall and warm times, every raw wall time, the count of repeats in
+which the change's wall time beat the parent's (change_wins), and the
+command line. On a loaded host the CPU time, the quartiles and the wins
+tell a change from noise better than a ratio of two medians.
 """
 
 from __future__ import annotations
@@ -215,6 +216,9 @@ def main(argv=None) -> int:
             row[side]["wall_s_runs"] = [round(s["wall_s"], 6) for s in runs]
         row["wall_ratio"] = round(row["parent"]["wall_s"]
                                   / row["change"]["wall_s"], 2)
+        row["change_wins"] = sum(
+            c["wall_s"] < p["wall_s"]
+            for p, c in zip(by_side["parent"], by_side["change"]))
         rows.append(row)
     report = {"command": " ".join(["python3", "tools/bench_enumerate.py"]
                                   + (argv if argv is not None else sys.argv[1:])),
